@@ -60,13 +60,9 @@ def run_benchmarks(scale: str, repeats: int, workers: int) -> dict:
 
     config = DatasetBuildConfig(seed=0, include_na=True)
 
-    def build():
-        try:
-            return build_dataset(plans, config, workers=workers)
-        except TypeError:  # pre-runtime builder has no workers parameter
-            return build_dataset(plans, config)
-
-    dataset_build_s, dataset = _best_of(repeats, build)
+    dataset_build_s, dataset = _best_of(
+        repeats, lambda: build_dataset(plans, config, workers=workers)
+    )
     X, y = dataset.feature_matrix(), dataset.labels()
 
     def fit():

@@ -346,11 +346,11 @@ def _evaluate_entries(
     data (not trace events) so the parent can emit one aggregate event —
     shards partition the dataset, so summed totals are worker-invariant.
 
-    Replays through the batched engine: one trajectory build per entry
+    Replays through one shared simulator: one trajectory build per entry
     shared by the oracle's three candidate actions and every policy, and
     one model inference call per policy for the whole shard — with flows
-    emitted in the scalar loop's exact order, so traces and metrics are
-    byte-identical to per-flow replay.
+    emitted entry by entry, so traces and metrics are byte-identical to
+    per-flow replay.
     """
     from repro.sim.batch import BatchFlowSimulator, batch_decisions
     from repro.sim.oracle import OracleData

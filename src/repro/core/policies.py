@@ -86,7 +86,7 @@ class LinkAdaptationPolicy(abc.ABC):
     inference across a whole entry list.  The base class deliberately does
     not define it: stateful or fault-wrapped policies must keep the
     sequential per-observation path so call order (and any injected
-    randomness) matches the scalar engine exactly.
+    randomness) matches a per-flow replay exactly.
     """
 
     name: str = "policy"

@@ -111,7 +111,7 @@ def repair_ladder(
 ) -> RepairLadder:
     """Run Algorithm 1's RA() scan and record its ladder.
 
-    Mirrors :meth:`RateAdaptation.repair` exactly, minus the per-point
+    The scan behind :meth:`RateAdaptation.repair`, minus the per-point
     byte accounting: the probed-MCS sequence and the settling decision are
     frame-time-free.
     """
@@ -126,6 +126,7 @@ def repair_ladder(
         tput = float(traces.throughput_mbps[mcs])
         probed.append(tput)
         if tput < max_tput:
+            # Throughput turned down: settle at the previous MCS.
             break
         max_tput = tput
         if RateAdaptation._is_working(traces, mcs):
@@ -158,50 +159,54 @@ def steady_rate_runs(
     a cycle; frame ``i``'s rate is ``prefix[i]`` while ``i < len(prefix)``
     and ``cycle[(i - len(prefix)) % len(cycle)]`` after, reproducing the
     generator's output exactly for any horizon.
+
+    The search steps one probe interval at a time.  Every interval starts
+    at ``since_probe = 0`` and sends ``interval`` frames at the current
+    rate before the probe gate is checked, so a state can first recur only
+    at the start of an interval — or, when the gate stays closed (top MCS,
+    or CDR under the ORI threshold), at the frame after the interval,
+    where ``since_probe`` no longer changes behaviour.
     """
     mcs_set = X60_MCS_SET if mcs_set is None else mcs_set
+    top = len(mcs_set) - 1
+    throughputs = [float(v) for v in traces.throughput_mbps]
+    # Whether the probe gate can open at each MCS — a higher MCS exists and
+    # the CDR clears its ORI threshold; both are fixed within one trace.
+    can_probe = [
+        bool(mcs < top and traces.cdr[mcs] > cdr_ori_threshold(mcs, mcs_set))
+        for mcs in range(len(throughputs))
+    ]
+
+    def backoff_state(failed_probes: int) -> int:
+        # Once the backoff saturates the failure count no longer matters.
+        backoff = min(2 ** failed_probes, probe_backoff_cap)
+        return backoff if backoff < probe_backoff_cap else -1
+
     rates: list[float] = []
     seen: dict[tuple, int] = {}
     current = settled_mcs
     failed_probes = 0
     interval = probe_interval_min
-    since_probe = 0
     while len(rates) <= _STEADY_RUNS_MAX_FRAMES:
-        backoff = min(2 ** failed_probes, probe_backoff_cap)
-        # Two clamps keep the state space finite: once the backoff
-        # saturates the failure count no longer matters, and once
-        # ``since_probe`` reaches the interval the only thing the machine
-        # checks is ``since_probe >= interval`` — when the probe gate stays
-        # closed (top MCS, or CDR under the ORI threshold) the counter
-        # would otherwise grow forever without changing behaviour.
-        state = (current, interval, min(since_probe, interval),
-                 backoff if backoff < probe_backoff_cap else -1)
+        state = (current, interval, backoff_state(failed_probes))
         start = seen.get(state)
         if start is not None:
             return rates[:start], rates[start:]
         seen[state] = len(rates)
-        probe_now = (
-            current < len(mcs_set) - 1
-            and since_probe >= interval
-            and traces.cdr[current] > cdr_ori_threshold(current, mcs_set)
-        )
-        if probe_now:
-            higher = current + 1
-            tput_higher = float(traces.throughput_mbps[higher])
-            rates.append(tput_higher)
-            since_probe = 0
-            if tput_higher > float(traces.throughput_mbps[current]):
-                current = higher
-                failed_probes = 0
-                interval = probe_interval_min
-            else:
-                failed_probes += 1
-                interval = probe_interval_min * min(
-                    2 ** failed_probes, probe_backoff_cap
-                )
+        rates.extend([throughputs[current]] * interval)
+        if not can_probe[current]:
+            start = len(rates)
+            rates.append(throughputs[current])
+            return rates[:start], rates[start:]
+        higher = current + 1
+        rates.append(throughputs[higher])
+        if throughputs[higher] > throughputs[current]:
+            current = higher
+            failed_probes = 0
+            interval = probe_interval_min
         else:
-            rates.append(float(traces.throughput_mbps[current]))
-            since_probe += 1
+            failed_probes += 1
+            interval = probe_interval_min * min(2 ** failed_probes, probe_backoff_cap)
     raise RuntimeError("steady-state dynamics failed to recur")  # pragma: no cover
 
 
@@ -234,26 +239,8 @@ class RateAdaptation:
         repair (no working MCS anywhere) returns ``found_mcs=None``; the
         caller falls back to BA + a second RA round.
         """
-        if not 0 <= start_mcs < X60_NUM_MCS:
-            raise ValueError(f"start_mcs {start_mcs} out of range")
-        frames = 0
-        search_bytes = 0.0
-        max_tput = initial_throughput_mbps
-        best_mcs: Optional[int] = None
-        for mcs in range(start_mcs, -1, -1):
-            frames += 1
-            tput = float(traces.throughput_mbps[mcs])
-            search_bytes += tput * 1e6 / 8.0 * self.frame_time_s
-            if tput < max_tput:
-                # Throughput turned down: settle at the previous MCS.
-                break
-            max_tput = tput
-            if self._is_working(traces, mcs):
-                best_mcs = mcs
-        if best_mcs is None:
-            return RAResult(None, frames, search_bytes, 0.0)
-        return RAResult(
-            best_mcs, frames, search_bytes, float(traces.throughput_mbps[best_mcs])
+        return repair_ladder(traces, start_mcs, initial_throughput_mbps).result(
+            self.frame_time_s
         )
 
     @staticmethod
@@ -302,18 +289,3 @@ class RateAdaptation:
             else:
                 yield FrameOutcome(current, float(traces.throughput_mbps[current]), False)
                 since_probe += 1
-
-    def steady_state_bytes(
-        self, traces: McsTraces, settled_mcs: int, duration_s: float
-    ) -> float:
-        """Bytes delivered over ``duration_s`` of steady-state operation,
-        including the probing tax."""
-        num_frames = max(0, int(duration_s / self.frame_time_s))
-        total = 0.0
-        for outcome in self.frames(traces, settled_mcs, num_frames):
-            total += outcome.throughput_mbps * 1e6 / 8.0 * self.frame_time_s
-        # Fractional tail frame at the settled rate.
-        remainder = duration_s - num_frames * self.frame_time_s
-        if remainder > 0:
-            total += float(traces.throughput_mbps[settled_mcs]) * 1e6 / 8.0 * remainder
-        return total

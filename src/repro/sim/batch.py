@@ -1,13 +1,9 @@
-"""The batched §8 flow engine: vectorized replay over cached trajectories.
+"""The §8 flow engine: vectorized replay over cached trajectories.
 
-:class:`BatchFlowSimulator` is a drop-in accelerator for
-:func:`repro.sim.engine.simulate_flow`: same inputs, same
-:class:`~repro.sim.engine.FlowResult` bytes, same trace events and
-metrics, different cost model.  The scalar engine walks every steady-state
-frame in a Python generator, separately for every (policy, action) pair —
-an entry replayed at one grid point executes roughly eleven of those walks
-(each oracle tries all three actions, then every policy replays its own).
-The batch engine instead:
+:class:`BatchFlowSimulator` is the one implementation of the §8 flow
+replay; :func:`repro.sim.engine.simulate_flow`, the oracles,
+:func:`repro.sim.engine.simulate_timeline`, the VR profiles and the
+evaluation grid all run on it.  It:
 
 * pulls the entry's point-independent trajectories (repair ladders,
   steady-rate prefix/cycle profiles, observation bits) from a
@@ -15,8 +11,7 @@ The batch engine instead:
   points and persistable via :mod:`repro.checkpoint`;
 * converts a trajectory into per-point bytes with one NumPy elementwise
   multiply and a sequential ``cumsum`` — ``cumsum`` accumulates strictly
-  left-to-right, so the result is bit-identical to the scalar engine's
-  per-frame ``+=`` loop;
+  left-to-right, the same order as a per-frame ``+=`` loop;
 * memoizes the three action outcomes per (entry, duration) so oracles and
   policies share them instead of recomputing;
 * accepts precomputed decisions (one ``decide_batch``/forest call for a
@@ -24,10 +19,8 @@ The batch engine instead:
   policies keep the sequential per-observation path, preserving call
   order and therefore injected-fault randomness.
 
-The scalar engine stays as the parity reference; the batched-vs-scalar
-test suite asserts byte identity across policies, operating points, fault
-plans, and the missing-ACK edge cases (see docs/performance.md for the
-contract).
+Its outputs are pinned by golden replay records (results, trace events,
+metrics) in ``tests/sim/``; see docs/performance.md for the contract.
 """
 
 from __future__ import annotations
@@ -76,7 +69,12 @@ class BatchFlowSimulator:
         return self.cache.get(entry, self.metrics)
 
     def observation(self, entry: DatasetEntry) -> Observation:
-        """Equal to ``observation_from_entry(entry, self.config)``, memoized."""
+        """What the transmitter sees right after the impairment, memoized.
+
+        The ACK goes missing when the old pair's CDR at the current MCS is
+        (near) zero — no codeword of the frame decodes, so no Block ACK
+        returns and no fresh metrics arrive.
+        """
         trajectories = self.trajectories(entry)
         observation = self._observations.get(trajectories.fingerprint)
         if observation is None:
@@ -96,12 +94,12 @@ class BatchFlowSimulator:
         self, trajectories: EntryTrajectories, pair: str, settled_mcs: int,
         num_frames: int,
     ) -> np.ndarray:
-        """Cumulative steady-state bytes after frames 1..n (bit-exact).
+        """Cumulative steady-state bytes after frames 1..n.
 
         ``cumsum`` output is defined element-by-element as the running sum,
-        so ``cum[k]`` equals the scalar ``total += rate · 1e6 / 8 · FAT``
-        loop after ``k + 1`` frames; prefixes of a longer cumsum are stable,
-        so growing the memoized array never changes earlier values.
+        so ``cum[k]`` equals a ``total += rate · 1e6 / 8 · FAT`` loop after
+        ``k + 1`` frames; prefixes of a longer cumsum are stable, so
+        growing the memoized array never changes earlier values.
         """
         key = (trajectories.fingerprint, pair, settled_mcs)
         cumsum = self._cumsums.get(key)
@@ -117,7 +115,9 @@ class BatchFlowSimulator:
         self, trajectories: EntryTrajectories, pair: str, settled_mcs: int,
         duration_s: float,
     ) -> float:
-        """``RateAdaptation.steady_state_bytes`` replicated from the cache."""
+        """Bytes over ``duration_s`` of steady state at ``settled_mcs``,
+        probing tax included, plus a fractional tail frame at the settled
+        rate."""
         frame_time_s = self.config.frame_time_s
         num_frames = max(0, int(duration_s / frame_time_s))
         total = 0.0
@@ -143,7 +143,8 @@ class BatchFlowSimulator:
     def execute(
         self, entry: DatasetEntry, action: Action, duration_s: float
     ) -> FlowResult:
-        """``_execute_action`` replicated from the cache, memoized.
+        """Charge ``action``'s recovery procedure and the steady state
+        after it, memoized.
 
         Returns a fresh :class:`FlowResult` per call (the dataclass is
         mutable); the memoized outcome is shared by the oracles' candidate
@@ -218,7 +219,12 @@ class BatchFlowSimulator:
     # -- oracle decisions from the memoized outcomes ------------------------
 
     def oracle_data_action(self, entry: DatasetEntry, duration_s: float) -> Action:
-        """``oracle_data_choice`` over the shared outcome memo."""
+        """The bytes-maximising action over the shared outcome memo.
+
+        NA is a candidate: when the impairment left the current MCS
+        working, not adapting can be right (§7).  Ties prefer NA over RA
+        over BA (cheaper mechanisms first); NA never masks a dead link.
+        """
         na = self.execute(entry, Action.NA, duration_s)
         ra = self.execute(entry, Action.RA, duration_s)
         ba = self.execute(entry, Action.BA, duration_s)
@@ -231,7 +237,12 @@ class BatchFlowSimulator:
         return best_action
 
     def oracle_delay_action(self, entry: DatasetEntry, duration_s: float) -> Action:
-        """``oracle_delay_choice`` over the shared outcome memo."""
+        """The delay-minimising action over the shared outcome memo.
+
+        A working current MCS means zero recovery delay without adapting
+        (NA); otherwise RA and BA compete, ties broken toward the higher
+        byte count.
+        """
         na = self.execute(entry, Action.NA, duration_s)
         if not na.link_died and na.bytes_delivered > 0.0:
             if self.observation(entry).current_mcs_working:
@@ -258,7 +269,7 @@ class BatchFlowSimulator:
         recorder: TraceRecorder = NULL_RECORDER,
         metrics: MetricsRegistry = NULL_METRICS,
     ) -> FlowResult:
-        """Drop-in, byte-identical replacement for ``simulate_flow``."""
+        """Simulate one flow that hits the entry's impairment at t = 0."""
         if duration_s <= 0:
             raise ValueError("flow duration must be positive")
         decision = self._decide_one(policy, entry, duration_s)
@@ -269,18 +280,19 @@ class BatchFlowSimulator:
     def _decide_one(
         self, policy: LinkAdaptationPolicy, entry: DatasetEntry, duration_s: float
     ) -> PolicyDecision:
-        """One policy decision, with the scalar engine's bind/retry semantics.
+        """One policy decision: bind, decide, and on a policy error retry
+        with the degraded (§7 missing-ACK) observation.
 
-        Plain (non-subclassed) oracles take the memoized fast path — their
-        scalar implementation re-executes every action from scratch.  Type
-        checks are exact so an oracle subclass with different behaviour
-        falls through to its own ``decide``.
+        Plain (non-subclassed) oracles take the memoized fast path over
+        this simulator's outcomes.  Type checks are exact so an oracle
+        subclass with different behaviour falls through to its own
+        ``decide``.
         """
         bind = getattr(policy, "bind", None)
         if bind is not None:  # oracles are clairvoyant: hand them the entry
             bind(entry, duration_s)
-        # An oracle constructed for a different config must keep consulting
-        # its own scalar machinery — the memoized outcomes are per-config.
+        # An oracle constructed for a different config must decide at its
+        # own config — the memoized outcomes are per-config.
         if type(policy) is OracleData and policy.config == self.config:
             return PolicyDecision(
                 self.oracle_data_action(entry, duration_s), "clairvoyant"
@@ -293,8 +305,10 @@ class BatchFlowSimulator:
         try:
             return policy.decide(observation)
         except Exception as error:  # isolation boundary: a crashing policy must not kill the run
-            # Same counter, same registry as the scalar engine's handler —
-            # this path replays its semantics, evidence trail included.
+            # Count the degradation on the process-wide registry (never the
+            # per-call one, which holds only the flow stream), then retry
+            # with the feedback discarded — the degraded observation is the
+            # missing-ACK shape every policy must handle (§7).
             get_metrics().counter("sim.policy_decide_error").inc()
             rule = policy.decide(observation.degraded())
             return PolicyDecision(
@@ -313,7 +327,12 @@ class BatchFlowSimulator:
         recorder: TraceRecorder = NULL_RECORDER,
         metrics: MetricsRegistry = NULL_METRICS,
     ) -> FlowResult:
-        """The post-decision half of ``simulate_flow`` from the cache."""
+        """The post-decision half of :meth:`simulate`.
+
+        ``trace``, when recording, carries the repair ladder — which beam
+        pair each RA round probed, the frames it spent, and where it
+        settled.
+        """
         if duration_s <= 0:
             raise ValueError("flow duration must be positive")
         observation = self.observation(entry)
@@ -339,8 +358,10 @@ class BatchFlowSimulator:
                 position=entry.position_label,
             )
         if action is Action.NA and not observation.current_mcs_working:
-            # ACK-timeout override, as in the scalar engine: one frame of
-            # silence, then the device default (RA).
+            # A policy that ignores a dead link would deliver nothing
+            # forever; every real device falls back once the ACK timeout
+            # fires.  Charge one frame of silence, then force the device's
+            # default (RA).
             inner = self.execute(
                 entry, Action.RA, max(duration_s - self.config.frame_time_s, 0.0)
             )
@@ -377,7 +398,7 @@ class BatchFlowSimulator:
     def _attach_repairs(
         self, trace: FlowEvent, entry: DatasetEntry, executed: Action
     ) -> None:
-        """Rebuild the scalar engine's repair ladder records for the event."""
+        """Record the executed action's repair rounds on the event."""
         trajectories = self.trajectories(entry)
         if executed is Action.RA:
             ladder = trajectories.ladder_same
@@ -429,17 +450,16 @@ def batch_decisions(
     Dispatch, in order:
 
     * plain oracles — clairvoyant choices from the simulator's shared
-      outcome memo (bound per entry, exactly like the scalar loop);
+      outcome memo (bound per entry, as in :meth:`BatchFlowSimulator.simulate`);
     * policies whose own class defines ``decide_batch`` — one batched call
       over the stacked observations (LiBRA's single forest predict).  The
       lookup goes through ``type(policy)``, never ``getattr`` on the
       instance, so a delegation wrapper (``FaultyPolicy.__getattr__``)
       cannot leak the wrapped policy's batch method around the injection
       layer;
-    * everything else — the sequential path with the scalar engine's
-      bind/decide/degraded-retry semantics, one observation at a time in
-      entry order, which keeps stateful fault plans on the same RNG draws
-      as the scalar reference.
+    * everything else — the sequential bind/decide/degraded-retry path,
+      one observation at a time in entry order, which keeps stateful fault
+      plans on the same RNG draws as a per-flow loop.
     """
     decide_batch = getattr(type(policy), "decide_batch", None)
     if (
@@ -453,7 +473,7 @@ def batch_decisions(
             if len(decisions) != len(entries):
                 raise ValueError("decision count mismatch")
             return decisions
-        except Exception:  # isolation boundary: fall back to the scalar semantics
+        except Exception:  # isolation boundary: fall back to per-entry decisions
             # Counted on the process-wide registry so a misbehaving batch
             # method is visible even though the run degrades gracefully.
             get_metrics().counter("sim.batch_decide_fallback").inc()
@@ -473,7 +493,7 @@ def simulate_flows_batch(
 
     Byte-identical to calling ``simulate_flow(policy, entry, …)`` in a
     loop: same results, same per-flow trace events (in entry order), same
-    metric counts.  Pass a shared ``simulator`` to reuse trajectories and
+    flow metrics.  Pass a shared ``simulator`` to reuse trajectories and
     outcome memos across calls (the CLI replays every policy over one
     simulator; the grid shares one cache across operating points).
     """

@@ -18,26 +18,21 @@ All policies — including the oracles — use the same RA machinery and the
 same probing behaviour; the oracles differ only in *which* action they
 pick, exactly as the paper specifies ("all algorithms use the same
 mechanism as LiBRA to probe higher rates periodically").
+
+This module holds the replay's types and entry points; the replay itself
+is :class:`repro.sim.batch.BatchFlowSimulator`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
-from repro.constants import (
-    DEAD_LINK_CDR,
-    WORKING_MCS_MIN_CDR,
-    WORKING_MCS_MIN_THROUGHPUT_MBPS,
-)
 from repro.core.ground_truth import Action
-from repro.core.policies import LinkAdaptationPolicy, Observation, PolicyDecision
-from repro.core.rate_adaptation import RateAdaptation
+from repro.core.policies import LinkAdaptationPolicy
 from repro.dataset.entry import DatasetEntry
-from repro.obs.events import FlowEvent, RepairStep
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry, get_metrics
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
-from repro.sim.timeline import Segment, Timeline
+from repro.sim.timeline import Timeline
 
 
 @dataclass(frozen=True)
@@ -67,105 +62,6 @@ class FlowResult:
         return self.bytes_delivered / 1e6
 
 
-def observation_from_entry(entry: DatasetEntry, config: SimulationConfig) -> Observation:
-    """What the transmitter can see right after the impairment.
-
-    The ACK goes missing when the old pair's CDR at the current MCS is
-    (near) zero — no codeword of the frame decodes, so no Block ACK
-    returns and no fresh metrics arrive.
-    """
-    cdr_now = float(entry.traces_same_pair.cdr[entry.initial_mcs])
-    tput_now = float(entry.traces_same_pair.throughput_mbps[entry.initial_mcs])
-    ack_missing = cdr_now < DEAD_LINK_CDR
-    working = cdr_now > WORKING_MCS_MIN_CDR and tput_now > WORKING_MCS_MIN_THROUGHPUT_MBPS
-    return Observation(
-        features=None if ack_missing else entry.features,
-        ack_missing=ack_missing,
-        current_mcs=entry.initial_mcs,
-        current_mcs_working=working,
-        ba_overhead_s=config.ba_overhead_s,
-    )
-
-
-def _record_repair(trace: Optional[FlowEvent], pair: str, start_mcs: int, repair) -> None:
-    if trace is not None:
-        trace.repairs.append(
-            RepairStep(
-                pair=pair,
-                start_mcs=start_mcs,
-                frames_spent=repair.frames_spent,
-                found_mcs=repair.found_mcs,
-                bytes_during_search=repair.bytes_during_search,
-            )
-        )
-
-
-def _execute_action(
-    action: Action,
-    entry: DatasetEntry,
-    config: SimulationConfig,
-    duration_s: float,
-    trace: Optional[FlowEvent] = None,
-) -> FlowResult:
-    """Charge the chosen recovery procedure and the steady state after it.
-
-    ``trace``, when given, accumulates the repair ladder — which beam pair
-    each RA round probed, the frames it spent, and where it settled.
-    """
-    ra = RateAdaptation(frame_time_s=config.frame_time_s)
-    elapsed = 0.0
-    delivered = 0.0
-
-    if action is Action.NA:
-        # Keep transmitting at the current MCS on the old pair.
-        delivered = ra.steady_state_bytes(
-            entry.traces_same_pair, entry.initial_mcs, duration_s
-        )
-        cdr = float(entry.traces_same_pair.cdr[entry.initial_mcs])
-        return FlowResult(delivered, 0.0, action, entry.initial_mcs, cdr < DEAD_LINK_CDR)
-
-    if action is Action.RA:
-        repair = ra.repair(entry.traces_same_pair, entry.initial_mcs)
-        _record_repair(trace, "same", entry.initial_mcs, repair)
-        elapsed += repair.frames_spent * config.frame_time_s
-        delivered += repair.bytes_during_search
-        if repair.found_mcs is not None:
-            remaining = max(0.0, duration_s - elapsed)
-            delivered += ra.steady_state_bytes(
-                entry.traces_same_pair, repair.found_mcs, remaining
-            )
-            return FlowResult(delivered, elapsed, action, repair.found_mcs)
-        # Algorithm 1 fallback: failed RA -> BA -> RA on the new pair.
-        elapsed += config.ba_overhead_s
-        if trace is not None:
-            trace.ba_invoked = True
-        repair2 = ra.repair(entry.traces_best_pair, entry.initial_mcs)
-        _record_repair(trace, "best", entry.initial_mcs, repair2)
-        elapsed += repair2.frames_spent * config.frame_time_s
-        delivered += repair2.bytes_during_search
-        if repair2.found_mcs is None:
-            return FlowResult(delivered, min(elapsed, duration_s), action, None, True)
-        remaining = max(0.0, duration_s - elapsed)
-        delivered += ra.steady_state_bytes(
-            entry.traces_best_pair, repair2.found_mcs, remaining
-        )
-        return FlowResult(delivered, elapsed, action, repair2.found_mcs)
-
-    # BA first: sweep (zero goodput), then RA on the new best pair.
-    elapsed += config.ba_overhead_s
-    if trace is not None:
-        trace.ba_invoked = True
-    repair = ra.repair(entry.traces_best_pair, entry.initial_mcs)
-    _record_repair(trace, "best", entry.initial_mcs, repair)
-    elapsed += repair.frames_spent * config.frame_time_s
-    delivered += repair.bytes_during_search
-    if repair.found_mcs is None:
-        return FlowResult(delivered, min(elapsed, duration_s), action, None, True)
-    remaining = max(0.0, duration_s - elapsed)
-    delivered += ra.steady_state_bytes(entry.traces_best_pair, repair.found_mcs, remaining)
-    return FlowResult(delivered, elapsed, action, repair.found_mcs)
-
-
 def simulate_flow(
     policy: LinkAdaptationPolicy,
     entry: DatasetEntry,
@@ -176,88 +72,19 @@ def simulate_flow(
 ) -> FlowResult:
     """Simulate one flow that hits the entry's impairment at t = 0.
 
-    ``recorder`` and ``metrics`` default to the shared no-ops; with those
-    defaults this function does exactly the seed-era work plus two
-    attribute checks.  An enabled recorder receives one
-    :class:`~repro.obs.events.FlowEvent` per call.
+    A thin wrapper over a fresh
+    :class:`~repro.sim.batch.BatchFlowSimulator`, the one implementation
+    of the §8 replay.  ``recorder`` and ``metrics`` default to the shared
+    no-ops, which cost two attribute checks; an enabled recorder receives
+    one :class:`~repro.obs.events.FlowEvent` per call.  Callers replaying
+    many flows at one config should share a simulator instead: it memoizes
+    every entry's trajectories and action outcomes.
     """
-    if duration_s <= 0:
-        raise ValueError("flow duration must be positive")
-    bind = getattr(policy, "bind", None)
-    if bind is not None:  # oracles are clairvoyant: hand them the entry
-        bind(entry, duration_s)
-    observation = observation_from_entry(entry, config)
-    try:
-        decision = policy.decide(observation)
-    except Exception as error:  # isolation boundary: a crashing policy must not kill the run
-        # Count the degradation on the process-wide registry (never the
-        # per-call one: scalar/batch metric parity compares those), then
-        # retry with the feedback discarded — the degraded observation is
-        # the missing-ACK shape every policy must handle (§7).
-        get_metrics().counter("sim.policy_decide_error").inc()
-        rule = policy.decide(observation.degraded())
-        decision = PolicyDecision(
-            rule.action,
-            f"policy error ({type(error).__name__}: {error}); "
-            f"retried degraded: {rule.reason}",
-            fallback=True,
-        )
-    action = decision.action
-    trace: Optional[FlowEvent] = None
-    if recorder.enabled:
-        trace = FlowEvent(
-            policy=getattr(policy, "name", type(policy).__name__),
-            decided_action=action.value,
-            executed_action=action.value,
-            ack_missing=observation.ack_missing,
-            current_mcs=observation.current_mcs,
-            current_mcs_working=observation.current_mcs_working,
-            bytes_delivered=0.0,
-            recovery_delay_s=0.0,
-            duration_s=duration_s,
-            decision_fallback=decision.fallback,
-            decision_reason=decision.reason,
-            features=None if observation.features is None
-            else [float(v) for v in observation.features.to_array()],
-            kind=entry.kind.value,
-            room=entry.room,
-            position=entry.position_label,
-        )
-    if action is Action.NA and not observation.current_mcs_working:
-        # A policy that ignores a dead link would deliver nothing forever;
-        # every real device falls back once the ACK timeout fires.  Charge
-        # one frame of silence, then force the device's default (RA).
-        inner = _execute_action(
-            Action.RA, entry, config,
-            max(duration_s - config.frame_time_s, 0.0),
-            trace,
-        )
-        result = FlowResult(
-            inner.bytes_delivered,
-            inner.recovery_delay_s + config.frame_time_s,
-            Action.RA,
-            inner.settled_mcs,
-            inner.link_died,
-        )
-        if trace is not None:
-            trace.forced_ra = True
-    else:
-        result = _execute_action(action, entry, config, duration_s, trace)
-    if trace is not None:
-        trace.executed_action = result.action.value
-        trace.bytes_delivered = result.bytes_delivered
-        trace.recovery_delay_s = result.recovery_delay_s
-        trace.settled_mcs = result.settled_mcs
-        trace.link_died = result.link_died
-        recorder.record(trace)
-    if metrics.enabled:
-        metrics.counter("sim.flows").inc()
-        metrics.counter(f"sim.action.{result.action.value}").inc()
-        metrics.histogram("sim.recovery_delay_s").observe(result.recovery_delay_s)
-        metrics.histogram("sim.bytes_delivered").observe(result.bytes_delivered)
-        if result.link_died:
-            metrics.counter("sim.link_died").inc()
-    return result
+    from repro.sim.batch import BatchFlowSimulator  # batch imports this module
+
+    return BatchFlowSimulator(config).simulate(
+        policy, entry, duration_s, recorder, metrics
+    )
 
 
 def simulate_timeline(
@@ -275,15 +102,18 @@ def simulate_timeline(
     deliver at the pre-impairment rate (all policies equal there, since
     every algorithm probes back up with the same §7 machinery).
 
-    ``simulator``, when given, is a
-    :class:`repro.sim.batch.BatchFlowSimulator` built for the same config;
-    impaired segments then replay from its trajectory cache (byte-identical
-    results) instead of re-walking the traces — the Fig. 12/13 sweeps share
-    one simulator per config across many timelines.
+    Impaired segments replay through ``simulator``, a
+    :class:`repro.sim.batch.BatchFlowSimulator` built for the same config,
+    or through a fresh one per call when none is given — the Fig. 12/13
+    sweeps share one simulator per config across many timelines.
 
     Returns ``(total_bytes, mean_recovery_delay_s, num_breaks)``.
     """
-    if simulator is not None and simulator.config != config:
+    from repro.sim.batch import BatchFlowSimulator  # batch imports this module
+
+    if simulator is None:
+        simulator = BatchFlowSimulator(config)
+    elif simulator.config != config:
         raise ValueError("simulator was built for a different SimulationConfig")
     total_bytes = 0.0
     total_delay = 0.0
@@ -294,14 +124,9 @@ def simulate_timeline(
             # Clear segment: steady state at the recovered link rate.
             total_bytes += segment.clear_rate_mbps * 1e6 / 8.0 * segment.duration_s
             continue
-        if simulator is not None:
-            result = simulator.simulate(
-                policy, segment.entry, segment.duration_s, recorder, metrics
-            )
-        else:
-            result = simulate_flow(
-                policy, segment.entry, config, segment.duration_s, recorder, metrics
-            )
+        result = simulator.simulate(
+            policy, segment.entry, segment.duration_s, recorder, metrics
+        )
         total_bytes += result.bytes_delivered
         total_delay += min(result.recovery_delay_s, segment.duration_s)
         breaks += 1

@@ -12,92 +12,22 @@ overhead of the action they choose and use the same RA machinery as
 everyone else — "the oracles make optimal decisions only with respect to
 restoring a link."
 
-Implementation note: the oracles are bound to a (config, duration) at
-decision time by the evaluation harness, which calls
-:func:`oracle_data_choice` / :func:`oracle_delay_choice` directly with the
-entry; the policy-shaped wrappers exist so the same simulation loop runs
-them interchangeably with the real policies.
+Implementation note: the simulation loop binds each oracle to the entry
+(and flow duration) it is about to decide on.  The choices themselves are
+:meth:`repro.sim.batch.BatchFlowSimulator.oracle_data_action` and
+:meth:`~repro.sim.batch.BatchFlowSimulator.oracle_delay_action`, taken
+over the same replay every policy runs on; the policy-shaped wrappers let
+that loop run oracles interchangeably with the real policies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.ground_truth import Action
 from repro.core.policies import LinkAdaptationPolicy, Observation, PolicyDecision
 from repro.dataset.entry import DatasetEntry
-from repro.sim.engine import FlowResult, SimulationConfig, _execute_action
-
-
-def _candidates(
-    entry: DatasetEntry, config: SimulationConfig, duration_s: float
-) -> list[tuple[Action, FlowResult]]:
-    """All three actions' outcomes.
-
-    NA is a candidate too: when the impairment left the current MCS
-    working, the *right* adaptation decision can be not to adapt (that is
-    LiBRA's third class, §7) — on a broken link NA delivers nothing and
-    never wins.
-    """
-    return [
-        (action, _execute_action(action, entry, config, duration_s))
-        for action in (Action.NA, Action.RA, Action.BA)
-    ]
-
-
-def oracle_data_choice(
-    entry: DatasetEntry, config: SimulationConfig, duration_s: float
-) -> tuple[Action, FlowResult]:
-    """The bytes-maximising action and its outcome.
-
-    Ties prefer NA over RA over BA (cheaper mechanisms first).
-    """
-    candidates = _candidates(entry, config, duration_s)
-    best_action, best = candidates[0]
-    for action, result in candidates[1:]:
-        if result.bytes_delivered > best.bytes_delivered + 1e-9:
-            best_action, best = action, result
-    # NA on a dead link delivers ~0 but also reports 0 delay; never allow
-    # it to mask a dead link.
-    if best_action is Action.NA and best.link_died:
-        return oracle_data_choice_no_na(entry, config, duration_s)
-    return best_action, best
-
-
-def oracle_data_choice_no_na(
-    entry: DatasetEntry, config: SimulationConfig, duration_s: float
-) -> tuple[Action, FlowResult]:
-    """Bytes-maximising choice restricted to the two repair mechanisms."""
-    ra = _execute_action(Action.RA, entry, config, duration_s)
-    ba = _execute_action(Action.BA, entry, config, duration_s)
-    if ra.bytes_delivered >= ba.bytes_delivered:
-        return Action.RA, ra
-    return Action.BA, ba
-
-
-def oracle_delay_choice(
-    entry: DatasetEntry, config: SimulationConfig, duration_s: float
-) -> tuple[Action, FlowResult]:
-    """The delay-minimising action and its outcome.
-
-    A working current MCS means zero recovery delay without adapting (NA);
-    otherwise RA and BA compete, with ties broken toward the higher byte
-    count (a free secondary criterion).
-    """
-    na = _execute_action(Action.NA, entry, config, duration_s)
-    if not na.link_died and na.bytes_delivered > 0.0:
-        from repro.sim.engine import observation_from_entry
-
-        if observation_from_entry(entry, config).current_mcs_working:
-            return Action.NA, na
-    ra = _execute_action(Action.RA, entry, config, duration_s)
-    ba = _execute_action(Action.BA, entry, config, duration_s)
-    if ra.recovery_delay_s < ba.recovery_delay_s:
-        return Action.RA, ra
-    if ba.recovery_delay_s < ra.recovery_delay_s:
-        return Action.BA, ba
-    return oracle_data_choice_no_na(entry, config, duration_s)
+from repro.sim.engine import SimulationConfig
 
 
 class _OracleBase(LinkAdaptationPolicy):
@@ -139,8 +69,11 @@ class OracleData(_OracleBase):
     name = "Oracle-Data"
 
     def _choose(self, entry: DatasetEntry) -> Action:
-        action, _ = oracle_data_choice(entry, self.config, self.duration_s)
-        return action
+        from repro.sim.batch import BatchFlowSimulator  # batch imports this module
+
+        return BatchFlowSimulator(self.config).oracle_data_action(
+            entry, self.duration_s
+        )
 
 
 class OracleDelay(_OracleBase):
@@ -149,5 +82,8 @@ class OracleDelay(_OracleBase):
     name = "Oracle-Delay"
 
     def _choose(self, entry: DatasetEntry) -> Action:
-        action, _ = oracle_delay_choice(entry, self.config, self.duration_s)
-        return action
+        from repro.sim.batch import BatchFlowSimulator  # batch imports this module
+
+        return BatchFlowSimulator(self.config).oracle_delay_action(
+            entry, self.duration_s
+        )

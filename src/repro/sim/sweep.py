@@ -38,7 +38,7 @@ from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.runtime import parallel_map
 from repro.sim.batch import BatchFlowSimulator, batch_decisions
-from repro.sim.engine import SimulationConfig, simulate_flow
+from repro.sim.engine import SimulationConfig
 from repro.sim.oracle import OracleData, OracleDelay
 from repro.sim.trajectory import TrajectoryCache
 
@@ -133,15 +133,15 @@ class EvaluationGrid:
         metrics: Optional registry; each point contributes a
             ``sweep.run_point`` span, a ``sweep.train_libra`` span per
             fresh model, and per-point progress counters/gauges.
-        engine: ``"batch"`` (default) replays each point through the
-            vectorized :class:`repro.sim.batch.BatchFlowSimulator`;
-            ``"scalar"`` keeps the per-flow reference loop.  Both produce
-            byte-identical :class:`PointResult` arrays, traces, and flow
-            metrics (the batch engine additionally emits
-            ``sim.traj_cache.*`` counters).
         trajectory_cache: Optional shared cache of point-independent entry
-            trajectories; created on first batched point when absent, and
+            trajectories; created on the first point when absent, and
             persisted/adopted by :meth:`run` when checkpointing.
+
+    Every point replays through one
+    :class:`repro.sim.batch.BatchFlowSimulator` over the shared cache, the
+    same engine ``simulate_flow`` runs on; golden replay records in
+    ``tests/sim/`` pin its :class:`PointResult` arrays, trace events and
+    metrics.
     """
 
     training_dataset: Dataset
@@ -150,7 +150,6 @@ class EvaluationGrid:
     max_depth: int = 14
     random_state: int = 0
     metrics: MetricsRegistry = NULL_METRICS
-    engine: str = "batch"
     trajectory_cache: Optional[TrajectoryCache] = field(default=None, repr=False)
     _model_cache: dict = field(default_factory=dict, init=False, repr=False)
     _train_features: Optional[np.ndarray] = field(
@@ -159,12 +158,6 @@ class EvaluationGrid:
     _train_label_inputs: Optional[list[Optional[LabelInputs]]] = field(
         default=None, init=False, repr=False
     )
-
-    def __post_init__(self) -> None:
-        if self.engine not in ("batch", "scalar"):
-            raise ValueError(
-                f"unknown engine {self.engine!r} (expected 'batch' or 'scalar')"
-            )
 
     def _training_features(self) -> np.ndarray:
         if self._train_features is None:
@@ -230,54 +223,10 @@ class EvaluationGrid:
         """Replay every evaluation impairment at one operating point.
 
         ``recorder`` receives every policy flow's decision event (oracle
-        flows included — they carry their own policy names), in the same
-        order under both engines.
-        """
-        if self.engine == "scalar":
-            return self._run_point_scalar(point, recorder)
-        return self._run_point_batch(point, recorder)
-
-    def _run_point_scalar(
-        self, point: OperatingPoint, recorder: TraceRecorder
-    ) -> PointResult:
-        """The per-flow reference loop (parity baseline for the batch engine)."""
-        metrics = self.metrics
-        with metrics.span("sweep.run_point") as span:
-            config = point.simulation_config()
-            duration = point.flow_duration_s
-            policies = self.policies_for(point)
-            data_oracle = OracleData(config, duration)
-            delay_oracle = OracleDelay(config, duration)
-            byte_gaps = {name: [] for name in policies}
-            delay_gaps = {name: [] for name in policies}
-            for entry in self.evaluation_dataset.without_na():
-                best_bytes = simulate_flow(
-                    data_oracle, entry, config, duration, recorder, metrics
-                )
-                best_delay = simulate_flow(
-                    delay_oracle, entry, config, duration, recorder, metrics
-                )
-                for name, policy in policies.items():
-                    result = simulate_flow(
-                        policy, entry, config, duration, recorder, metrics
-                    )
-                    byte_gaps[name].append(
-                        (best_bytes.bytes_delivered - result.bytes_delivered) / 1e6
-                    )
-                    delay_gaps[name].append(
-                        (result.recovery_delay_s - best_delay.recovery_delay_s) * 1e3
-                    )
-        return self._finish_point(point, byte_gaps, delay_gaps, span, metrics)
-
-    def _run_point_batch(
-        self, point: OperatingPoint, recorder: TraceRecorder
-    ) -> PointResult:
-        """The vectorized path: cached trajectories, one inference call.
-
-        Decisions are computed policy-major (so LiBRA's forest sees one
-        stacked predict per point) but flows are *emitted* entry-major in
-        the scalar loop's exact order, keeping trace streams and metric
-        observation sequences identical.
+        flows included — they carry their own policy names), entry by
+        entry.  Decisions are computed policy-major (so LiBRA's forest sees
+        one stacked predict per point) but flows are *emitted* entry-major:
+        per entry, Oracle-Data, Oracle-Delay, then each policy.
         """
         metrics = self.metrics
         with metrics.span("sweep.run_point") as span:
@@ -318,12 +267,6 @@ class EvaluationGrid:
         if metrics.enabled:
             stats = self.trajectory_cache.stats()
             metrics.gauge("sweep.traj_cache_entries").set(stats["entries"])
-        return self._finish_point(point, byte_gaps, delay_gaps, span, metrics)
-
-    def _finish_point(
-        self, point, byte_gaps, delay_gaps, span, metrics
-    ) -> PointResult:
-        if metrics.enabled:
             metrics.counter("sweep.points_done").inc()
             metrics.gauge("sweep.last_point_wall_s").set(span.elapsed_s)
         return PointResult(
@@ -356,18 +299,17 @@ class EvaluationGrid:
         the persisted bytes — are identical at every worker count.
         Checkpoints are saved by the parent, in point order.
 
-        Under the batch engine a checkpointed run also persists the
-        trajectory cache (key ``"trajectories"``): resuming adopts the
-        saved payload so unchanged entries skip the trajectory rebuild
-        entirely — with identical replay bytes, since payloads round-trip
-        floats exactly.  Worker processes receive the adopted payloads
-        with their grid copy and send their built trajectories back; the
-        parent unions them in point order, so the persisted cache is
-        identical at every worker count (trajectories are pure functions
-        of the entry).
+        A checkpointed run also persists the trajectory cache (key
+        ``"trajectories"``): resuming adopts the saved payload so
+        unchanged entries skip the trajectory rebuild entirely — with
+        identical replay bytes, since payloads round-trip floats exactly.
+        Worker processes receive the adopted payloads with their grid copy
+        and send their built trajectories back; the parent unions them in
+        point order, so the persisted cache is identical at every worker
+        count (trajectories are pure functions of the entry).
         """
         store = None if checkpoint_dir is None else CheckpointStore(checkpoint_dir)
-        if store is not None and self.engine == "batch":
+        if store is not None:
             if self.trajectory_cache is None:
                 self.trajectory_cache = TrajectoryCache()
             if resume:
@@ -404,8 +346,7 @@ class EvaluationGrid:
             computed = [result for result, _ in outcomes]
             if self.trajectory_cache is not None:
                 for _, payload in outcomes:
-                    if payload is not None:
-                        self.trajectory_cache.merge_payload(payload)
+                    self.trajectory_cache.merge_payload(payload)
         for (index, _), result in zip(pending, computed):
             if store is not None:
                 store.save(f"point-{index:04d}", _point_result_to_dict(result))
@@ -426,7 +367,7 @@ class EvaluationGrid:
 def _run_point_task(
     item: tuple[int, OperatingPoint], metrics: MetricsRegistry, recorder: TraceRecorder,
     *, grid: EvaluationGrid,
-) -> tuple[PointResult, Optional[dict]]:
+) -> tuple[PointResult, dict]:
     """Runtime task: one operating point in a worker process.
 
     ``dataclasses.replace`` rebuilds the grid around the worker's own
@@ -437,10 +378,7 @@ def _run_point_task(
     _, point = item
     local = dataclasses.replace(grid, metrics=metrics)
     result = local.run_point(point, recorder)
-    payload = None
-    if local.engine == "batch" and local.trajectory_cache is not None:
-        payload = local.trajectory_cache.to_payload()
-    return result, payload
+    return result, local.trajectory_cache.to_payload()
 
 
 def _point_to_dict(point: OperatingPoint) -> dict:

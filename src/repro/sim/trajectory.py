@@ -10,12 +10,11 @@ Replaying one dataset entry at one operating point decomposes into
 * and per-point float work — multiplying those trajectories by the frame
   time and the BA overhead.
 
-The §8 grid replays every entry at 8 operating points; the scalar engine
-recomputes the entry half 8 times (and several times *within* one point —
-the oracles execute all three actions).  :class:`TrajectoryCache` computes
-it once, keyed by a content fingerprint of the entry, and can round-trip
-through :mod:`repro.checkpoint` so a repeated ``repro evaluate`` skips the
-recompute entirely.  Cache payloads persist floats through JSON's
+The §8 grid replays every entry at 8 operating points, and several
+times *within* one point — the oracles execute all three actions.
+:class:`TrajectoryCache` computes the entry half once, keyed by a content
+fingerprint of the entry, and can round-trip through :mod:`repro.checkpoint`
+so a repeated ``repro evaluate`` skips the recompute entirely.  Cache payloads persist floats through JSON's
 shortest-repr encoding, so a trajectory loaded from disk reproduces the
 same bytes as a freshly built one.
 """

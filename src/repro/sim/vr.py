@@ -28,6 +28,7 @@ from repro.constants import (
     VR_SCENE_DURATION_S,
 )
 from repro.core.mcs import X60_MCS_SET
+from repro.sim.batch import BatchFlowSimulator
 
 COTS_SCALE = AD_COTS_PEAK_THROUGHPUT_MBPS / X60_MCS_SET.max_rate_mbps
 """Rate scaling X60 → COTS 802.11ad (≈ 0.505), same modulation/coding."""
@@ -154,14 +155,15 @@ def profile_from_timeline(
 
     Each impaired segment contributes a zero-rate recovery interval followed
     by the settled rate; clear segments contribute their steady rate.  All
-    rates are scaled to the COTS ladder (§8.4).  A shared
-    :class:`repro.sim.batch.BatchFlowSimulator` (same ``sim_config``) can
-    be passed to replay the breaks from its trajectory cache — the Table 4
-    study runs 50 timelines over one pool of entries.
+    rates are scaled to the COTS ladder (§8.4).  The breaks replay through
+    ``simulator``, a :class:`repro.sim.batch.BatchFlowSimulator` for the
+    same ``sim_config``, or through a fresh one per call when none is
+    given — the Table 4 study shares one across 50 timelines over one pool
+    of entries.
     """
-    from repro.sim.engine import simulate_flow
-
-    if simulator is not None and simulator.config != sim_config:
+    if simulator is None:
+        simulator = BatchFlowSimulator(sim_config)
+    elif simulator.config != sim_config:
         raise ValueError("simulator was built for a different SimulationConfig")
     times = [0.0]
     rates = []
@@ -173,12 +175,7 @@ def profile_from_timeline(
             clock += segment.duration_s
             times.append(clock)
             continue
-        if simulator is not None:
-            result = simulator.simulate(policy, segment.entry, segment.duration_s)
-        else:
-            result = simulate_flow(
-                policy, segment.entry, sim_config, segment.duration_s
-            )
+        result = simulator.simulate(policy, segment.entry, segment.duration_s)
         delay = min(result.recovery_delay_s, segment.duration_s)
         if delay > 0.0:
             rates.append(0.0)

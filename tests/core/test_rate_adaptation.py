@@ -1,10 +1,15 @@
 """Frame-based RA tests (§7's repair + adaptive probing)."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.ground_truth import Action
 from repro.core.rate_adaptation import FrameOutcome, RAResult, RateAdaptation, cdr_ori_threshold
 from repro.core.mcs import X60_MCS_SET
-from tests.conftest import make_traces
+from repro.sim.batch import BatchFlowSimulator
+from repro.sim.engine import SimulationConfig
+from tests.conftest import make_entry, make_traces
 
 
 @pytest.fixture
@@ -108,21 +113,30 @@ class TestUpwardProbing:
         assert not any(o.probing for o in outcomes)
 
 
+def steady_state_bytes(traces, mcs: int, duration_s: float) -> float:
+    """Steady-state bytes at ``mcs`` on ``traces`` (2 ms frames), probing
+    tax included: the bytes of an NA flow, which keeps transmitting on the
+    unchanged pair."""
+    entry = dataclasses.replace(make_entry([], [], mcs), traces_same_pair=traces)
+    simulator = BatchFlowSimulator(SimulationConfig(frame_time_s=2e-3))
+    return simulator.execute(entry, Action.NA, duration_s).bytes_delivered
+
+
 class TestSteadyStateBytes:
-    def test_matches_rate_times_time_without_probes(self, ra):
+    def test_matches_rate_times_time_without_probes(self):
         traces = make_traces([300, 450, 865], cdr_value=0.5)  # no probing
-        delivered = ra.steady_state_bytes(traces, 2, 1.0)
+        delivered = steady_state_bytes(traces, 2, 1.0)
         assert delivered == pytest.approx(865e6 / 8.0, rel=1e-6)
 
-    def test_fractional_tail_frame_counted(self, ra):
+    def test_fractional_tail_frame_counted(self):
         traces = make_traces([300], cdr_value=0.5)
-        delivered = ra.steady_state_bytes(traces, 0, 0.003)  # 1.5 frames
+        delivered = steady_state_bytes(traces, 0, 0.003)  # 1.5 frames
         assert delivered == pytest.approx(300e6 / 8.0 * 0.003, rel=1e-6)
 
-    def test_probing_tax_is_small_but_nonzero(self, ra):
+    def test_probing_tax_is_small_but_nonzero(self):
         # MCS 1 dead → every probe wastes a frame; tax < 10 %.
         traces = make_traces([300.0, 0.0], cdr_value=0.99)
         traces.cdr[1] = 0.0
-        delivered = ra.steady_state_bytes(traces, 0, 1.0)
+        delivered = steady_state_bytes(traces, 0, 1.0)
         ideal = 300e6 / 8.0
         assert 0.9 * ideal < delivered < ideal

@@ -1,10 +1,11 @@
 """No-op instrumentation must not tax the simulator hot path.
 
 The acceptance bar: with tracing disabled (the default arguments),
-``simulate_flow`` does the seed-era work plus two attribute checks.  The
-benchmark compares the disabled path against the actively-recording path
-— the disabled path must never be slower (modulo timer noise), which
-bounds its overhead by the cost of real recording.
+``simulate_flow`` pays two attribute checks for its instrumentation and
+never builds a trace event.  The benchmark compares the disabled path
+against the actively-recording path — the disabled path must never be
+slower (modulo timer noise), which bounds its overhead by the cost of
+real recording.
 """
 
 import time
@@ -57,8 +58,9 @@ class TestNoopOverhead:
         def explode(*args, **kwargs):  # pragma: no cover - fails the test
             raise AssertionError("FlowEvent built on the disabled path")
 
-        import repro.sim.engine as engine
+        import repro.sim.batch as batch
 
-        monkeypatch.setattr(engine, "FlowEvent", explode)
+        # Patched where the event is built: the flow engine.
+        monkeypatch.setattr(batch, "FlowEvent", explode)
         result = simulate_flow(RAFirstPolicy(), entry, SimulationConfig(), 0.1)
         assert result.bytes_delivered >= 0.0

@@ -1,10 +1,23 @@
-"""Batched-vs-scalar parity: the byte-identity contract of `repro.sim.batch`.
+"""Golden replay tests: the byte-identity contract of the §8 flow engine.
 
-The vectorized flow engine must be indistinguishable from looping the
-scalar `simulate_flow` — same `FlowResult` floats, same trace events,
-same metric observations — for every policy class, fault plans included.
-The scalar engine stays in the tree purely as this reference.
+``replay_goldens.json`` (next to this file) pins what the replay fixtures
+below produced at the commit recorded in it: every ``FlowResult`` field
+as a value, and the ``FlowEvent.to_dict()`` lists and metric snapshots
+(wall-clock fields dropped) as SHA-256 digests.  Every replay entry point
+— ``simulate_flow``, ``simulate_flows_batch``, the oracles,
+``EvaluationGrid.run``/``run_point``, ``simulate_timeline`` and
+``profile_from_timeline`` — must reproduce them bit for bit.
+
+The goldens change only with an intended change of replay behaviour.
+Regenerate them with::
+
+    PYTHONPATH=src python -m tests.sim.test_batch_parity --write COMMIT
 """
+
+import hashlib
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +37,15 @@ from repro.sim.report import grid_report
 from repro.sim.sweep import EvaluationGrid, OperatingPoint
 from tests.conftest import make_entry
 
+GOLDENS_PATH = Path(__file__).with_name("replay_goldens.json")
+
 CFG = SimulationConfig(ba_overhead_s=5e-3, frame_time_s=2e-3)
 SLOW_CFG = SimulationConfig(ba_overhead_s=250e-3, frame_time_s=10e-3)
+CONFIGS = {"cheap": CFG, "slow": SLOW_CFG}
+DURATIONS_S = (0.2, 0.313)
+ORACLE_DURATION_S = 0.25
+TIMELINE_SEED = 11
+TIMELINE_COUNT = 3
 
 
 def parity_entries() -> list:
@@ -66,80 +86,210 @@ def policy_factories():
     ]
 
 
-def strip_cache_metrics(snapshot: dict) -> dict:
-    """Drop the trajectory-cache counters: they exist only on the batched
-    side and are not part of the replay-parity contract."""
+# -- records ---------------------------------------------------------------------
+
+
+def digest(value) -> str:
+    """SHA-256 of ``value``'s canonical JSON (floats in shortest repr)."""
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def metrics_snapshot(metrics: MetricsRegistry) -> dict:
+    """``metrics.snapshot()`` without wall-clock fields: span histograms
+    keep only their counts and ``*_wall_s`` gauges are dropped."""
+    snapshot = metrics.snapshot()
+    for name in metrics.spans():
+        snapshot["histograms"][name] = {"count": snapshot["histograms"][name]["count"]}
+    snapshot["gauges"] = {
+        name: value for name, value in snapshot["gauges"].items()
+        if not name.endswith("_wall_s")
+    }
+    return snapshot
+
+
+def flow_record(results, recorder, snapshot: dict) -> dict:
+    return {
+        "results": [
+            [r.bytes_delivered, r.recovery_delay_s, r.action.value,
+             r.settled_mcs, r.link_died]
+            for r in results
+        ],
+        "events": len(recorder.events),
+        "events_sha256": digest([e.to_dict() for e in recorder.events]),
+        "metrics_sha256": digest(snapshot),
+    }
+
+
+def without_cache_counters(snapshot: dict) -> dict:
+    """Drop the ``sim.traj_cache.*`` counters of a simulator built with the
+    caller's registry; they are not part of the flow stream."""
     snapshot["counters"] = {
-        name: value
-        for name, value in snapshot["counters"].items()
+        name: value for name, value in snapshot["counters"].items()
         if not name.startswith("sim.traj_cache")
     }
     return snapshot
 
 
-def run_scalar(make_policy, entries, config, duration_s):
+def run_flows(make_policy, entries, config, duration_s) -> dict:
+    """One ``simulate_flow`` per entry, one policy instance throughout."""
     policy = make_policy()
     recorder, metrics = InMemoryTraceRecorder(), MetricsRegistry()
     results = [
         simulate_flow(policy, entry, config, duration_s, recorder, metrics)
         for entry in entries
     ]
-    return results, recorder, metrics
+    return flow_record(results, recorder, metrics_snapshot(metrics))
 
 
-def run_batch(make_policy, entries, config, duration_s, simulator=None):
+def run_batch(make_policy, entries, config, duration_s, simulator=None) -> dict:
     policy = make_policy()
     recorder, metrics = InMemoryTraceRecorder(), MetricsRegistry()
     results = simulate_flows_batch(
         policy, entries, config, duration_s, recorder, metrics,
         simulator=simulator,
     )
-    return results, recorder, metrics
-
-
-def assert_flow_parity(scalar, batch):
-    scalar_results, scalar_recorder, scalar_metrics = scalar
-    batch_results, batch_recorder, batch_metrics = batch
-    assert len(batch_results) == len(scalar_results)
-    for got, want in zip(batch_results, scalar_results):
-        assert got.bytes_delivered == want.bytes_delivered  # bitwise
-        assert got.recovery_delay_s == want.recovery_delay_s
-        assert got.action == want.action
-        assert got.settled_mcs == want.settled_mcs
-        assert got.link_died == want.link_died
-    assert [e.to_dict() for e in batch_recorder.events] == [
-        e.to_dict() for e in scalar_recorder.events
-    ]
-    assert strip_cache_metrics(batch_metrics.snapshot()) == strip_cache_metrics(
-        scalar_metrics.snapshot()
+    return flow_record(
+        results, recorder, without_cache_counters(metrics_snapshot(metrics))
     )
 
 
+def tiny_grid() -> EvaluationGrid:
+    dataset = Dataset(parity_entries(), "tiny")
+    return EvaluationGrid(dataset, dataset, n_estimators=4, max_depth=4)
+
+
+GRID_POINTS = [
+    OperatingPoint(5e-3, 2e-3, flow_duration_s=0.2),
+    OperatingPoint(250e-3, 2e-3, flow_duration_s=0.2),
+]
+
+
+def grid_run_record(results) -> dict:
+    return {
+        "points": [
+            {
+                name: {
+                    "byte_gaps_mb": [float(v) for v in result.byte_gaps_mb[name]],
+                    "delay_gaps_ms": [float(v) for v in result.delay_gaps_ms[name]],
+                }
+                for name in result.byte_gaps_mb
+            }
+            for result in results
+        ],
+        "report_sha256": digest(grid_report(results)),
+    }
+
+
+def grid_run_point_record() -> dict:
+    recorder, metrics = InMemoryTraceRecorder(), MetricsRegistry()
+    grid = tiny_grid()
+    grid.metrics = metrics
+    grid.run_point(GRID_POINTS[0], recorder)
+    return {
+        "events": len(recorder.events),
+        "events_sha256": digest([e.to_dict() for e in recorder.events]),
+        "metrics_sha256": digest(metrics_snapshot(metrics)),
+    }
+
+
+def mixed_timelines(dataset) -> list:
+    from repro.sim.timeline import ScenarioType, TimelineGenerator
+
+    generator = TimelineGenerator(dataset, seed=TIMELINE_SEED)
+    return generator.batch(ScenarioType.MIXED, TIMELINE_COUNT)
+
+
+def timeline_record(make_policy, timelines, simulator=None) -> dict:
+    recorder, metrics = InMemoryTraceRecorder(), MetricsRegistry()
+    totals = [
+        list(simulate_timeline(
+            make_policy(), timeline, CFG, recorder, metrics, simulator=simulator
+        ))
+        for timeline in timelines
+    ]
+    return {
+        "totals": totals,
+        "events": len(recorder.events),
+        "events_sha256": digest([e.to_dict() for e in recorder.events]),
+        "metrics_sha256": digest(metrics_snapshot(metrics)),
+    }
+
+
+def vr_record(timelines, simulator=None) -> list:
+    from repro.sim.vr import profile_from_timeline
+
+    profiles = [
+        profile_from_timeline(RAFirstPolicy(), timeline, CFG, simulator=simulator)
+        for timeline in timelines
+    ]
+    return [
+        {"times_s": list(p.times_s), "rates_mbps": list(p.rates_mbps)}
+        for p in profiles
+    ]
+
+
+def flow_key(name: str, config_id: str, duration_s: float) -> str:
+    return f"flows/{name}/{config_id}/{duration_s}"
+
+
+def capture(timeline_dataset) -> dict:
+    """Every fixture's record, through the public per-flow entry points."""
+    entries = parity_entries()
+    records = {}
+    for config_id, config in CONFIGS.items():
+        for duration_s in DURATIONS_S:
+            for name, make_policy in policy_factories():
+                records[flow_key(name, config_id, duration_s)] = run_flows(
+                    make_policy, entries, config, duration_s
+                )
+    for oracle_cls in (OracleData, OracleDelay):
+        records[f"oracles/{oracle_cls.__name__}"] = run_flows(
+            lambda: oracle_cls(CFG, ORACLE_DURATION_S), entries, CFG,
+            ORACLE_DURATION_S,
+        )
+    records["grid/run"] = grid_run_record(tiny_grid().run(GRID_POINTS))
+    records["grid/run_point"] = grid_run_point_record()
+    timelines = mixed_timelines(timeline_dataset)
+    for name, make_policy in (("ra_first", RAFirstPolicy), ("ba_first", BAFirstPolicy)):
+        records[f"timelines/{name}"] = timeline_record(make_policy, timelines)
+    records["vr/ra_first"] = vr_record(timelines)
+    return json.loads(json.dumps(records))
+
+
+@pytest.fixture(scope="module")
+def goldens() -> dict:
+    return json.loads(GOLDENS_PATH.read_text())["records"]
+
+
+# -- flows -----------------------------------------------------------------------
+
+
 class TestFlowParity:
-    @pytest.mark.parametrize("config", [CFG, SLOW_CFG], ids=["cheap", "slow"])
-    @pytest.mark.parametrize("duration_s", [0.2, 0.313])
-    def test_all_policies_byte_identical(self, config, duration_s):
+    @pytest.mark.parametrize("config_id", list(CONFIGS), ids=list(CONFIGS))
+    @pytest.mark.parametrize("duration_s", DURATIONS_S)
+    def test_all_policies_byte_identical(self, goldens, config_id, duration_s):
         entries = parity_entries()
+        config = CONFIGS[config_id]
         for name, make_policy in policy_factories():
-            scalar = run_scalar(make_policy, entries, config, duration_s)
-            batch = run_batch(make_policy, entries, config, duration_s)
-            assert_flow_parity(scalar, batch)
+            want = goldens[flow_key(name, config_id, duration_s)]
+            assert run_flows(make_policy, entries, config, duration_s) == want, name
+            assert run_batch(make_policy, entries, config, duration_s) == want, name
 
     @pytest.mark.parametrize("oracle_cls", [OracleData, OracleDelay])
-    def test_oracles_byte_identical(self, oracle_cls):
+    def test_oracles_byte_identical(self, goldens, oracle_cls):
         entries = parity_entries()
-        duration_s = 0.25
-        make_policy = lambda: oracle_cls(CFG, duration_s)  # noqa: E731
-        scalar = run_scalar(make_policy, entries, CFG, duration_s)
-        batch = run_batch(make_policy, entries, CFG, duration_s)
-        assert_flow_parity(scalar, batch)
+        make_policy = lambda: oracle_cls(CFG, ORACLE_DURATION_S)  # noqa: E731
+        want = goldens[f"oracles/{oracle_cls.__name__}"]
+        assert run_flows(make_policy, entries, CFG, ORACLE_DURATION_S) == want
+        assert run_batch(make_policy, entries, CFG, ORACLE_DURATION_S) == want
 
     def test_warm_cache_is_identical_to_cold(self):
         entries = parity_entries()
         simulator = BatchFlowSimulator(CFG)
         cold = run_batch(RAFirstPolicy, entries, CFG, 0.2, simulator)
         warm = run_batch(RAFirstPolicy, entries, CFG, 0.2, simulator)
-        assert_flow_parity(cold, warm)
+        assert cold == warm
 
     def test_checkpointed_trajectories_replay_identically(self):
         from repro.sim.trajectory import TrajectoryCache
@@ -154,7 +304,7 @@ class TestFlowParity:
         resumed = run_batch(
             BAFirstPolicy, entries, CFG, 0.2, BatchFlowSimulator(CFG, adopted)
         )
-        assert_flow_parity(reference, resumed)
+        assert reference == resumed
         assert adopted.stats()["loaded"] == len(set(
             e for e in adopted.to_payload()["entries"]
         ))
@@ -171,52 +321,20 @@ class TestFlowParity:
             simulate_flows_batch(RAFirstPolicy(), parity_entries(), CFG, 0.0)
 
 
-def tiny_grid(engine: str = "batch") -> EvaluationGrid:
-    dataset = Dataset(parity_entries(), "tiny")
-    return EvaluationGrid(
-        dataset, dataset, n_estimators=4, max_depth=4, engine=engine
-    )
-
-
-GRID_POINTS = [
-    OperatingPoint(5e-3, 2e-3, flow_duration_s=0.2),
-    OperatingPoint(250e-3, 2e-3, flow_duration_s=0.2),
-]
+# -- the evaluation grid ---------------------------------------------------------
 
 
 class TestGridParity:
-    def test_batch_and_scalar_grids_byte_identical(self):
-        batch_results = tiny_grid("batch").run(GRID_POINTS)
-        scalar_results = tiny_grid("scalar").run(GRID_POINTS)
-        for got, want in zip(batch_results, scalar_results):
-            assert got.point == want.point
-            assert set(got.byte_gaps_mb) == set(want.byte_gaps_mb)
-            for name in want.byte_gaps_mb:
-                assert np.array_equal(got.byte_gaps_mb[name],
-                                      want.byte_gaps_mb[name])
-                assert np.array_equal(got.delay_gaps_ms[name],
-                                      want.delay_gaps_ms[name])
-                assert got.oracle_match_fraction(name) == want.oracle_match_fraction(
-                    name
-                )
-        assert grid_report(batch_results) == grid_report(scalar_results)
+    def test_grid_run_matches_golden(self, goldens):
+        results = tiny_grid().run(GRID_POINTS)
+        assert [r.point for r in results] == GRID_POINTS
+        assert grid_run_record(results) == goldens["grid/run"]
 
-    def test_trace_streams_byte_identical(self):
-        batch_recorder, scalar_recorder = (
-            InMemoryTraceRecorder(), InMemoryTraceRecorder()
-        )
-        tiny_grid("batch").run_point(GRID_POINTS[0], batch_recorder)
-        tiny_grid("scalar").run_point(GRID_POINTS[0], scalar_recorder)
-        assert [e.to_dict() for e in batch_recorder.events] == [
-            e.to_dict() for e in scalar_recorder.events
-        ]
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            tiny_grid("vectorised")
+    def test_trace_streams_byte_identical(self, goldens):
+        assert grid_run_point_record() == goldens["grid/run_point"]
 
     def test_match_fraction_and_report_shapes_under_batch(self):
-        results = tiny_grid("batch").run(GRID_POINTS)
+        results = tiny_grid().run(GRID_POINTS)
         n = len(parity_entries())
         for result in results:
             for name in ("LiBRA", "BA First", "RA First"):
@@ -229,15 +347,15 @@ class TestGridParity:
     def test_checkpoint_resume_matches_uncheckpointed(self, tmp_path):
         from repro.checkpoint import CheckpointStore
 
-        reference = tiny_grid("batch").run(GRID_POINTS)
-        tiny_grid("batch").run(GRID_POINTS, checkpoint_dir=tmp_path)
+        reference = tiny_grid().run(GRID_POINTS)
+        tiny_grid().run(GRID_POINTS, checkpoint_dir=tmp_path)
         store = CheckpointStore(tmp_path)
         assert "trajectories" in store.keys()
         # Drop the point results but keep the trajectory cache: the resumed
         # run replays everything from adopted trajectories.
         store.path("point-0000").unlink()
         store.path("point-0001").unlink()
-        resumed = tiny_grid("batch").run(
+        resumed = tiny_grid().run(
             GRID_POINTS, checkpoint_dir=tmp_path, resume=True
         )
         for got, want in zip(resumed, reference):
@@ -248,23 +366,21 @@ class TestGridParity:
                                       want.delay_gaps_ms[name])
 
 
+# -- timelines and VR ------------------------------------------------------------
+
+
 class TestTimelineAndVRParity:
     @pytest.fixture(scope="class")
     def timelines(self, main_dataset):
-        from repro.sim.timeline import ScenarioType, TimelineGenerator
+        return mixed_timelines(main_dataset)
 
-        generator = TimelineGenerator(main_dataset, seed=11)
-        return generator.batch(ScenarioType.MIXED, 3)
-
-    def test_simulate_timeline_with_simulator_is_identical(self, timelines):
-        simulator = BatchFlowSimulator(CFG)
-        for policy_factory in (RAFirstPolicy, BAFirstPolicy):
-            for timeline in timelines:
-                want = simulate_timeline(policy_factory(), timeline, CFG)
-                got = simulate_timeline(
-                    policy_factory(), timeline, CFG, simulator=simulator
-                )
-                assert got == want  # (bytes, delay, segments) — bitwise
+    def test_simulate_timeline_with_simulator_is_identical(self, goldens, timelines):
+        shared = BatchFlowSimulator(CFG)
+        for name, make_policy in (("ra_first", RAFirstPolicy),
+                                  ("ba_first", BAFirstPolicy)):
+            want = goldens[f"timelines/{name}"]
+            assert timeline_record(make_policy, timelines) == want
+            assert timeline_record(make_policy, timelines, simulator=shared) == want
 
     def test_timeline_rejects_mismatched_simulator(self, timelines):
         simulator = BatchFlowSimulator(SLOW_CFG)
@@ -273,16 +389,10 @@ class TestTimelineAndVRParity:
                 RAFirstPolicy(), timelines[0], CFG, simulator=simulator
             )
 
-    def test_vr_profile_with_simulator_is_identical(self, timelines):
-        from repro.sim.vr import profile_from_timeline
-
-        simulator = BatchFlowSimulator(CFG)
-        for timeline in timelines:
-            want = profile_from_timeline(RAFirstPolicy(), timeline, CFG)
-            got = profile_from_timeline(
-                RAFirstPolicy(), timeline, CFG, simulator=simulator
-            )
-            assert got == want  # frozen dataclass of tuples
+    def test_vr_profile_with_simulator_is_identical(self, goldens, timelines):
+        want = goldens["vr/ra_first"]
+        assert vr_record(timelines) == want
+        assert vr_record(timelines, simulator=BatchFlowSimulator(CFG)) == want
 
     def test_impaired_entries_lists_the_breaks(self, timelines):
         for timeline in timelines:
@@ -290,3 +400,19 @@ class TestTimelineAndVRParity:
             assert len(entries) == sum(
                 1 for s in timeline.segments if s.entry is not None
             )
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3 or sys.argv[1] != "--write":
+        sys.exit("usage: python -m tests.sim.test_batch_parity --write COMMIT")
+    from repro.dataset.builder import build_main_dataset
+
+    document = {
+        "captured_at": sys.argv[2],
+        "note": "Replay goldens for tests/sim/test_batch_parity.py; values "
+                "are exact (shortest-repr floats), *_sha256 are digests of "
+                "canonical JSON.",
+        "records": capture(build_main_dataset()),
+    }
+    GOLDENS_PATH.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(document['records'])} records to {GOLDENS_PATH}")

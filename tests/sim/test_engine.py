@@ -1,27 +1,32 @@
 """Simulation engine tests: exact byte/delay accounting on synthetic
-entries, fallback semantics, and policy plumbing."""
+entries, fallback semantics, and policy plumbing, through the public
+engine API (``BatchFlowSimulator.observation``/``execute`` and
+``simulate_flow``)."""
 
 import numpy as np
 import pytest
 
 from repro.core.ground_truth import Action
 from repro.core.policies import BAFirstPolicy, RAFirstPolicy, StaticPolicy
-from repro.sim.engine import (
-    FlowResult,
-    SimulationConfig,
-    _execute_action,
-    observation_from_entry,
-    simulate_flow,
-)
+from repro.sim.batch import BatchFlowSimulator
+from repro.sim.engine import FlowResult, SimulationConfig, simulate_flow
 from tests.conftest import make_entry
 
 CFG = SimulationConfig(ba_overhead_s=10e-3, frame_time_s=2e-3)
 
 
+def observe(entry):
+    return BatchFlowSimulator(CFG).observation(entry)
+
+
+def execute(action, entry, duration_s):
+    return BatchFlowSimulator(CFG).execute(entry, action, duration_s)
+
+
 class TestObservation:
     def test_working_link_with_features(self):
         entry = make_entry([300, 450, 865], [300, 450, 865], 2)
-        obs = observation_from_entry(entry, CFG)
+        obs = observe(entry)
         assert not obs.ack_missing
         assert obs.current_mcs_working
         assert obs.features is entry.features
@@ -29,7 +34,7 @@ class TestObservation:
 
     def test_dead_current_mcs_means_missing_ack(self):
         entry = make_entry([300, 450], [300, 450, 865, 1300], 3)
-        obs = observation_from_entry(entry, CFG)
+        obs = observe(entry)
         assert obs.ack_missing
         assert obs.features is None
         assert not obs.current_mcs_working
@@ -41,7 +46,7 @@ class TestExecuteAction:
         # 1 (450 < 865 → stop) = 3 frames; settles at 2.
         entry = make_entry([300, 450, 865], [300, 450, 865, 1300], 3)
         duration = 0.1
-        result = _execute_action(Action.RA, entry, CFG, duration)
+        result = execute(Action.RA, entry, duration)
         assert result.settled_mcs == 2
         assert result.recovery_delay_s == pytest.approx(3 * 2e-3)
         search_bytes = (0 + 865e6 + 450e6) / 8.0 * 2e-3
@@ -54,14 +59,14 @@ class TestExecuteAction:
         # BA: 10 ms sweep (silent) + probes 3 (1300), 2 (865 < 1300 → stop).
         entry = make_entry([300], [300, 450, 865, 1300], 3)
         duration = 0.1
-        result = _execute_action(Action.BA, entry, CFG, duration)
+        result = execute(Action.BA, entry, duration)
         assert result.settled_mcs == 3
         assert result.recovery_delay_s == pytest.approx(10e-3 + 2 * 2e-3)
         assert result.action is Action.BA
 
     def test_failed_ra_falls_back_to_ba(self):
         entry = make_entry([], [300, 450], 4)
-        result = _execute_action(Action.RA, entry, CFG, 0.5)
+        result = execute(Action.RA, entry, 0.5)
         # 5 failed frames + sweep + second repair on the best pair.
         assert result.settled_mcs == 1
         assert result.recovery_delay_s > 5 * 2e-3 + 10e-3
@@ -70,13 +75,13 @@ class TestExecuteAction:
     def test_dead_everywhere_is_link_death(self):
         entry = make_entry([], [], 4)
         for action in (Action.RA, Action.BA):
-            result = _execute_action(action, entry, CFG, 0.5)
+            result = execute(action, entry, 0.5)
             assert result.link_died
             assert result.settled_mcs is None
 
     def test_na_keeps_current_mcs(self):
         entry = make_entry([300, 450, 865], [300, 450, 865], 2)
-        result = _execute_action(Action.NA, entry, CFG, 1.0)
+        result = execute(Action.NA, entry, 1.0)
         assert result.recovery_delay_s == 0.0
         assert result.bytes_delivered == pytest.approx(865e6 / 8.0, rel=0.05)
 

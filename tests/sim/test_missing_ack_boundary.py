@@ -16,13 +16,19 @@ from repro.env.geometry import Point
 from repro.env.placement import RadioPose
 from repro.env.rooms import make_lobby
 from repro.faults import AckLoss, FaultPlan, FaultyLink
-from repro.sim.engine import SimulationConfig, observation_from_entry, simulate_flow
+from repro.sim.batch import BatchFlowSimulator
+from repro.sim.engine import SimulationConfig, simulate_flow
 from repro.sim.live import LiveSession
 from repro.testbed.x60 import X60Link
 from tests.conftest import make_entry
 
 CHEAP = BA_OVERHEAD_THRESHOLD_S / 2
 EXPENSIVE = BA_OVERHEAD_THRESHOLD_S * 25
+
+
+def observation_at(entry, config):
+    """What the transmitter sees at the impairment under ``config``."""
+    return BatchFlowSimulator(config).observation(entry)
 
 
 def dead_link_entry(initial_mcs: int):
@@ -38,7 +44,7 @@ class TestEngineBoundary:
     def test_below_threshold_always_ba(self, ba_overhead_s):
         entry = dead_link_entry(MISSING_ACK_MCS_THRESHOLD - 1)
         config = SimulationConfig(ba_overhead_s=ba_overhead_s)
-        observation = observation_from_entry(entry, config)
+        observation = observation_at(entry, config)
         assert observation.ack_missing
         decision = LiBRA(ThresholdClassifier()).decide(observation)
         assert decision.action is Action.BA
@@ -47,10 +53,10 @@ class TestEngineBoundary:
         entry = dead_link_entry(MISSING_ACK_MCS_THRESHOLD)
         policy = LiBRA(ThresholdClassifier())
         cheap = policy.decide(
-            observation_from_entry(entry, SimulationConfig(ba_overhead_s=CHEAP))
+            observation_at(entry, SimulationConfig(ba_overhead_s=CHEAP))
         )
         expensive = policy.decide(
-            observation_from_entry(entry, SimulationConfig(ba_overhead_s=EXPENSIVE))
+            observation_at(entry, SimulationConfig(ba_overhead_s=EXPENSIVE))
         )
         assert cheap.action is Action.BA
         assert expensive.action is Action.RA
@@ -59,7 +65,7 @@ class TestEngineBoundary:
         entry = dead_link_entry(MISSING_ACK_MCS_THRESHOLD)
         config = SimulationConfig(ba_overhead_s=BA_OVERHEAD_THRESHOLD_S)
         decision = LiBRA(ThresholdClassifier()).decide(
-            observation_from_entry(entry, config)
+            observation_at(entry, config)
         )
         assert decision.action is Action.RA  # strict < : the boundary itself is RA
 

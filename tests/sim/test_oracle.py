@@ -4,56 +4,66 @@ import pytest
 
 from repro.core.ground_truth import Action
 from repro.core.policies import BAFirstPolicy, RAFirstPolicy
+from repro.sim.batch import BatchFlowSimulator
 from repro.sim.engine import SimulationConfig, simulate_flow
-from repro.sim.oracle import (
-    OracleData,
-    OracleDelay,
-    oracle_data_choice,
-    oracle_delay_choice,
-)
+from repro.sim.oracle import OracleData, OracleDelay
 from tests.conftest import make_entry
 
 CFG = SimulationConfig(ba_overhead_s=10e-3, frame_time_s=2e-3)
 
 
+def data_choice(entry, config, duration_s):
+    """Oracle-Data's action and the outcome of executing it."""
+    simulator = BatchFlowSimulator(config)
+    action = simulator.oracle_data_action(entry, duration_s)
+    return action, simulator.execute(entry, action, duration_s)
+
+
+def delay_choice(entry, config, duration_s):
+    """Oracle-Delay's action and the outcome of executing it."""
+    simulator = BatchFlowSimulator(config)
+    action = simulator.oracle_delay_action(entry, duration_s)
+    return action, simulator.execute(entry, action, duration_s)
+
+
 class TestChoices:
     def test_data_oracle_picks_ba_for_better_pair(self):
         entry = make_entry([300], [300, 450, 865, 1300, 1730], 4)
-        action, result = oracle_data_choice(entry, CFG, 1.0)
+        action, result = data_choice(entry, CFG, 1.0)
         assert action is Action.BA
         assert result.settled_mcs == 4
 
     def test_data_oracle_picks_na_when_link_still_works(self):
         entry = make_entry([300, 450, 865], [300, 450, 865], 2)
-        action, _ = oracle_data_choice(entry, CFG, 1.0)
+        action, _ = data_choice(entry, CFG, 1.0)
         assert action is Action.NA  # nothing broke: don't adapt
 
     def test_data_oracle_never_na_on_dead_link(self):
         entry = make_entry([300, 450], [300, 450, 865], 3)  # MCS 3 dead
-        action, result = oracle_data_choice(entry, CFG, 1.0)
+        action, result = data_choice(entry, CFG, 1.0)
         assert action in (Action.RA, Action.BA)
         assert not result.link_died
 
     def test_delay_oracle_prefers_fast_ra(self):
         entry = make_entry([300, 450], [300, 450, 865, 1300], 3)
         big = SimulationConfig(ba_overhead_s=250e-3, frame_time_s=2e-3)
-        action, _ = oracle_delay_choice(entry, big, 1.0)
+        action, _ = delay_choice(entry, big, 1.0)
         assert action is Action.RA
 
     def test_delay_oracle_prefers_ba_when_ra_must_fail(self):
         entry = make_entry([], [300, 450, 865], 4)
-        action, _ = oracle_delay_choice(entry, CFG, 1.0)
+        action, _ = delay_choice(entry, CFG, 1.0)
         assert action is Action.BA  # RA-first pays the failed scan first
 
     def test_delay_oracle_na_when_nothing_broke(self):
         entry = make_entry([300, 450, 865], [300, 450, 865], 2)
-        action, result = oracle_delay_choice(entry, CFG, 1.0)
+        action, result = delay_choice(entry, CFG, 1.0)
         assert action is Action.NA
         assert result.recovery_delay_s == 0.0
 
     def test_delay_tie_breaks_by_bytes(self):
         entry = make_entry([300, 450], [300, 450], 2)  # MCS 2 dead everywhere
-        action, _ = oracle_delay_choice(
+        action, _ = delay_choice(
             entry, SimulationConfig(ba_overhead_s=0.0, frame_time_s=2e-3), 1.0
         )
         assert action in (Action.RA, Action.BA)

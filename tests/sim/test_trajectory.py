@@ -1,9 +1,10 @@
 """Trajectory-cache tests: the point-independent PHY skeletons.
 
-The batched §8 path rests on three replications that must be *bitwise*
-faithful to their scalar references:
+The §8 replay rests on three point-independent skeletons that must be
+*bitwise* faithful:
 
-* :func:`repair_ladder` vs :meth:`RateAdaptation.repair`,
+* :func:`repair_ladder` (behind :meth:`RateAdaptation.repair`) vs the
+  hand-derived RA scan,
 * :func:`steady_rate_runs` (prefix + cycle) vs :meth:`RateAdaptation.frames`,
 * :func:`label_from_inputs` vs :func:`label_entry`.
 
@@ -68,6 +69,18 @@ class TestSteadyRateRuns:
                 expanded.append(cycle[(i - len(prefix)) % len(cycle)])
         assert expanded == reference  # exact float equality, not approx
 
+    @pytest.mark.parametrize(
+        "name,lengths",
+        [("rising", (178, 161)), ("cliff", (160, 161)), ("plateau", (160, 161)),
+         ("top_mcs", (5, 1)), ("low_cdr", (5, 1)), ("mid_settle", (166, 161))],
+    )
+    def test_split_is_the_first_recurrence(self, name, lengths):
+        # Checkpoint payloads persist the (prefix, cycle) split itself, so
+        # it is pinned, not just its expansion.
+        _, traces, settled = next(c for c in TRACE_CASES if c[0] == name)
+        prefix, cycle = steady_rate_runs(traces, settled)
+        assert (len(prefix), len(cycle)) == lengths
+
     def test_cycle_is_never_empty(self):
         for _, traces, settled in TRACE_CASES:
             _, cycle = steady_rate_runs(traces, settled)
@@ -83,27 +96,33 @@ class TestSteadyRateRuns:
 
 
 class TestRepairLadder:
+    # (traces, start MCS, initial throughput) -> the hand-derived scan:
+    # (found MCS, frames spent, probed throughputs in probe order).
     CASES = [
-        (make_traces([300, 450, 865, 0, 0]), 4, 0.0),
-        (make_traces([300, 450, 0, 0]), 3, 0.0),
-        (make_traces([300, 450, 865, 1300]), 3, 0.0),
-        (make_traces([300, 0, 0]), 2, 0.0),
-        (make_traces([]), 4, 0.0),  # failed repair
-        (make_traces([300, 450, 865]), 2, 500.0),  # initial tput beats all
+        (make_traces([300, 450, 865, 0, 0]), 4, 0.0, (2, 4, (0.0, 0.0, 865.0, 450.0))),
+        (make_traces([300, 450, 0, 0]), 3, 0.0, (1, 4, (0.0, 0.0, 450.0, 300.0))),
+        (make_traces([300, 450, 865, 1300]), 3, 0.0, (3, 2, (1300.0, 865.0))),
+        (make_traces([300, 0, 0]), 2, 0.0, (0, 3, (0.0, 0.0, 300.0))),
+        (make_traces([]), 4, 0.0, (None, 5, (0.0,) * 5)),  # failed repair
+        (make_traces([300, 450, 865]), 2, 500.0, (2, 2, (865.0, 450.0))),  # known initial tput
     ]
 
     @pytest.mark.parametrize("frame_time_s", [0.5e-3, 2e-3, 10e-3])
     def test_result_matches_scalar_repair(self, frame_time_s):
         ra = RateAdaptation(frame_time_s=frame_time_s)
-        for traces, start, initial in self.CASES:
+        for traces, start, initial, (found, frames, probed) in self.CASES:
             ladder = repair_ladder(traces, start, initial)
-            reference = ra.repair(traces, start, initial)
-            got = ladder.result(frame_time_s)
-            assert got.found_mcs == reference.found_mcs
-            assert got.frames_spent == reference.frames_spent
-            # Bitwise: search_bytes accumulates in the same order.
-            assert got.bytes_during_search == reference.bytes_during_search
-            assert got.settled_throughput_mbps == reference.settled_throughput_mbps
+            assert (ladder.found_mcs, ladder.frames_spent) == (found, frames)
+            assert ladder.probed_throughputs_mbps == probed
+            # Bitwise: search bytes accumulate frame by frame in probe order.
+            search_bytes = 0.0
+            for tput in probed:
+                search_bytes += tput * 1e6 / 8.0 * frame_time_s
+            settled = 0.0 if found is None else float(traces.throughput_mbps[found])
+            want = (found, frames, search_bytes, settled)
+            for got in (ladder.result(frame_time_s), ra.repair(traces, start, initial)):
+                assert (got.found_mcs, got.frames_spent, got.bytes_during_search,
+                        got.settled_throughput_mbps) == want
 
     def test_out_of_range_start_rejected(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -4,6 +4,7 @@ Invariants that must hold for *any* input, not just the crafted cases in
 the per-module suites.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,8 +25,11 @@ from repro.env.geometry import Point, Segment, mirror_point
 from repro.env.rooms import make_lobby
 from repro.phy.channel import LinkGeometry, trace_rays
 from repro.phy.error_model import best_throughput_mcs, codeword_delivery_ratio
+from repro.sim.batch import BatchFlowSimulator
+from repro.sim.engine import SimulationConfig
 from repro.sim.vr import BandwidthProfile
 from repro.testbed.traces import McsTraces
+from tests.conftest import make_entry
 
 # -- strategies --------------------------------------------------------------
 
@@ -120,8 +124,10 @@ class TestRateAdaptationProperties:
            st.floats(min_value=0.01, max_value=2.0))
     @settings(max_examples=40, deadline=None)
     def test_steady_state_bytes_bounded_by_best_rate(self, traces, mcs, duration):
-        ra = RateAdaptation(frame_time_s=2e-3)
-        delivered = ra.steady_state_bytes(traces, mcs, duration)
+        # An NA flow's bytes are the steady state on the unchanged pair.
+        entry = dataclasses.replace(make_entry([], [], mcs), traces_same_pair=traces)
+        simulator = BatchFlowSimulator(SimulationConfig(frame_time_s=2e-3))
+        delivered = simulator.execute(entry, Action.NA, duration).bytes_delivered
         ceiling = float(traces.throughput_mbps.max()) * 1e6 / 8.0 * duration
         assert 0.0 <= delivered <= ceiling * 1.001 + 1.0
 
