@@ -17,7 +17,8 @@ from repro.core.libra import LiBRA, LiBRAConfig, ThresholdClassifier
 from repro.core.rate_adaptation import RateAdaptation
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.metrics import accuracy_score
-from repro.sim.engine import SimulationConfig, simulate_flow
+from repro.sim.batch import BatchFlowSimulator
+from repro.sim.engine import SimulationConfig
 from repro.sim.oracle import OracleData
 
 CONFIG = SimulationConfig(ba_overhead_s=5e-3, frame_time_s=2e-3)
@@ -25,11 +26,12 @@ DURATION_S = 1.0
 
 
 def _byte_gap_stats(policy, dataset):
+    simulator = BatchFlowSimulator(CONFIG)
     oracle = OracleData(CONFIG, DURATION_S)
     gaps = []
     for entry in dataset.without_na():
-        best = simulate_flow(oracle, entry, CONFIG, DURATION_S)
-        result = simulate_flow(policy, entry, CONFIG, DURATION_S)
+        best = simulator.simulate(oracle, entry, DURATION_S)
+        result = simulator.simulate(policy, entry, DURATION_S)
         gaps.append((best.bytes_delivered - result.bytes_delivered) / 1e6)
     gaps = np.array(gaps)
     return float(np.mean(gaps <= 1.0)), float(gaps.mean())

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.constants import BA_OVERHEADS_S, FRAME_AGGREGATION_TIMES_S
-from repro.sim.engine import SimulationConfig, simulate_flow
+from repro.sim.batch import BatchFlowSimulator
+from repro.sim.engine import SimulationConfig
 from repro.sim.oracle import OracleData
 from repro.sim.results import cdf_points, fraction_at_most
 
@@ -32,15 +33,16 @@ def run_grid(testing_dataset, make_libra, heuristics):
     for overhead in BA_OVERHEADS_S:
         for fat in FRAME_AGGREGATION_TIMES_S:
             config = SimulationConfig(ba_overhead_s=overhead, frame_time_s=fat)
+            simulator = BatchFlowSimulator(config)
             policies = dict(heuristics)
             policies["LiBRA"] = make_libra(overhead, fat)
             for duration in FLOW_DURATIONS_S:
                 oracle = OracleData(config, duration)
                 cell = {name: [] for name in policies}
                 for entry in entries:
-                    best = simulate_flow(oracle, entry, config, duration)
+                    best = simulator.simulate(oracle, entry, duration)
                     for name, policy in policies.items():
-                        result = simulate_flow(policy, entry, config, duration)
+                        result = simulator.simulate(policy, entry, duration)
                         cell[name].append(
                             (best.bytes_delivered - result.bytes_delivered) / 1e6
                         )

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.constants import BA_OVERHEADS_S, FRAME_AGGREGATION_TIMES_S
-from repro.sim.engine import SimulationConfig, simulate_flow
+from repro.sim.batch import BatchFlowSimulator
+from repro.sim.engine import SimulationConfig
 from repro.sim.oracle import OracleDelay
 from repro.sim.results import cdf_points, fraction_at_most
 
@@ -27,14 +28,15 @@ def run_grid(testing_dataset, make_libra, heuristics):
     for overhead in BA_OVERHEADS_S:
         for fat in FRAME_AGGREGATION_TIMES_S:
             config = SimulationConfig(ba_overhead_s=overhead, frame_time_s=fat)
+            simulator = BatchFlowSimulator(config)
             policies = dict(heuristics)
             policies["LiBRA"] = make_libra(overhead, fat)
             oracle = OracleDelay(config, FLOW_DURATION_S)
             cell = {name: [] for name in policies}
             for entry in entries:
-                best = simulate_flow(oracle, entry, config, FLOW_DURATION_S)
+                best = simulator.simulate(oracle, entry, FLOW_DURATION_S)
                 for name, policy in policies.items():
-                    result = simulate_flow(policy, entry, config, FLOW_DURATION_S)
+                    result = simulator.simulate(policy, entry, FLOW_DURATION_S)
                     cell[name].append(
                         (result.recovery_delay_s - best.recovery_delay_s) * 1e3
                     )

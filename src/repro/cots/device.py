@@ -34,7 +34,7 @@ from repro.obs.events import SessionEvent
 from repro.env.placement import RadioPose
 from repro.env.rooms import Room, make_corridor, make_lobby
 from repro.phy.blockage import HumanBlocker
-from repro.phy.channel import ChannelState, snr_matrix_db, trace_rays, LinkGeometry
+from repro.phy.channel import ChannelState, snr_matrix_db
 from repro.phy.error_model import WATERFALL_STEEPNESS_PER_DB
 from repro.testbed.x60 import X60Link
 

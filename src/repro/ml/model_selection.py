@@ -75,9 +75,9 @@ def cross_validate(
     random_state=None,
 ) -> CVResult:
     """One round of stratified k-fold CV with a fresh model per fold."""
-    splitter = StratifiedKFold(n_splits, shuffle=True, random_state=random_state)
+    folds = StratifiedKFold(n_splits, shuffle=True, random_state=random_state)
     accuracies, f1_scores = [], []
-    for train, test in splitter.split(X, y):
+    for train, test in folds.split(X, y):
         model = model_factory()
         model.fit(X[train], y[train])
         predictions = model.predict(X[test])

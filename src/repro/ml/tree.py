@@ -12,21 +12,14 @@ A standard binary classification/regression-tree classifier:
   tree powers the random forest;
 * accumulated impurity decrease per feature → Gini importances (Table 3).
 
-Two splitters grow identical trees:
-
-* ``"presort"`` (default) sorts each feature once per fit and keeps the
-  per-feature sorted row order alive down the tree by partitioning it at
-  every split.  All candidate thresholds of all candidate features are
-  scored in a single NumPy pass using one-hot label prefix sums, so a
-  node costs O(n·k·c) vectorised work instead of a Python loop per
-  candidate.
-* ``"bruteforce"`` is the original per-candidate Python loop, kept as the
-  reference implementation the fast path is tested against.
-
-The fast path replicates the reference arithmetic operation for
-operation (same division order, same impurity formula, same strict-``>``
-first-win tie-break), so both splitters pick identical splits on
-identical data.
+The split search presorts: each feature is sorted once per fit, and the
+per-feature sorted row order is kept alive down the tree by partitioning
+it at every split.  All candidate thresholds of all candidate features are
+scored in a single NumPy pass using one-hot label prefix sums, so a node
+costs O(n·k·c) vectorised work instead of a Python loop per candidate.
+Ties between equal-gain splits go to the first candidate: the lowest
+threshold of the earliest-drawn feature.  The fitted trees pinned in
+``tests/ml/tree_goldens.json`` define the output.
 """
 
 from __future__ import annotations
@@ -74,8 +67,6 @@ def _entropy(counts: np.ndarray) -> float:
 
 _IMPURITIES = {"gini": _gini, "entropy": _entropy}
 
-_SPLITTERS = ("presort", "bruteforce")
-
 
 class DecisionTreeClassifier(Estimator):
     """CART classifier.
@@ -89,8 +80,6 @@ class DecisionTreeClassifier(Estimator):
         max_features: Per-split feature subsample size — ``None`` (all),
             an int, or ``"sqrt"``.  Random forests pass ``"sqrt"``.
         random_state: Seed for feature subsampling.
-        splitter: ``"presort"`` (vectorised, default) or ``"bruteforce"``
-            (reference per-candidate loop); both grow identical trees.
     """
 
     def __init__(
@@ -101,12 +90,9 @@ class DecisionTreeClassifier(Estimator):
         min_samples_leaf: int = 1,
         max_features: int | str | None = None,
         random_state: Optional[int] = None,
-        splitter: str = "presort",
     ):
         if criterion not in _IMPURITIES:
             raise ValueError(f"criterion must be one of {sorted(_IMPURITIES)}")
-        if splitter not in _SPLITTERS:
-            raise ValueError(f"splitter must be one of {_SPLITTERS}")
         if max_depth is not None and max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if min_samples_split < 2:
@@ -119,7 +105,6 @@ class DecisionTreeClassifier(Estimator):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self.splitter = splitter
         self.classes_: Optional[np.ndarray] = None
         self.root_: Optional[_Node] = None
         self.feature_importances_: Optional[np.ndarray] = None
@@ -140,26 +125,23 @@ class DecisionTreeClassifier(Estimator):
         self._rng = np.random.default_rng(self.random_state)
         self._importance_raw = np.zeros(self._n_features)
         self._flat = None
-        if self.splitter == "bruteforce":
-            self.root_ = self._grow(X, y_encoded, depth=0)
-        else:
-            self._y = y_encoded
-            self._n_total = X.shape[0]
-            self._n_classes = len(self.classes_)
-            onehot = np.zeros((self._n_total, self._n_classes), dtype=np.int64)
-            onehot[np.arange(self._n_total), y_encoded] = 1
-            self._onehot = onehot
-            # One stable sort per feature for the whole fit; children
-            # inherit sorted order by partitioning (stable, so ties keep
-            # ascending original-row order — exactly what a per-node
-            # stable argsort of the subset would produce).
-            order = np.argsort(X, axis=0, kind="stable")
-            cols = np.ascontiguousarray(order.T)
-            vals = np.ascontiguousarray(np.take_along_axis(X, order, axis=0).T)
-            try:
-                self.root_ = self._grow_fast(cols, vals, depth=0)
-            finally:
-                del self._y, self._onehot
+        self._y = y_encoded
+        self._n_total = X.shape[0]
+        self._n_classes = len(self.classes_)
+        onehot = np.zeros((self._n_total, self._n_classes), dtype=np.int64)
+        onehot[np.arange(self._n_total), y_encoded] = 1
+        self._onehot = onehot
+        # One stable sort per feature for the whole fit; children inherit
+        # sorted order by partitioning (stable, so ties keep ascending
+        # original-row order — exactly what a per-node stable argsort of
+        # the subset would produce).
+        order = np.argsort(X, axis=0, kind="stable")
+        cols = np.ascontiguousarray(order.T)
+        vals = np.ascontiguousarray(np.take_along_axis(X, order, axis=0).T)
+        try:
+            self.root_ = self._grow(cols, vals, depth=0)
+        finally:
+            del self._y, self._onehot
         total = self._importance_raw.sum()
         self.feature_importances_ = (
             self._importance_raw / total if total > 0 else self._importance_raw.copy()
@@ -175,9 +157,7 @@ class DecisionTreeClassifier(Estimator):
             k = min(int(self.max_features), self._n_features)
         return self._rng.choice(self._n_features, size=k, replace=False)
 
-    # -- fitting: vectorised presort splitter ------------------------------
-
-    def _grow_fast(self, cols: np.ndarray, vals: np.ndarray, depth: int) -> _Node:
+    def _grow(self, cols: np.ndarray, vals: np.ndarray, depth: int) -> _Node:
         """Grow a subtree from per-feature sorted row indices/values.
 
         ``cols[f]`` lists this node's rows (indices into the fit arrays)
@@ -192,7 +172,7 @@ class DecisionTreeClassifier(Estimator):
             or counts.max() == n_node  # pure node
         ):
             return node
-        split = self._best_split_fast(cols, vals, counts)
+        split = self._best_split(cols, vals, counts)
         if split is None:
             return node
         feature, threshold, gain = split
@@ -206,11 +186,11 @@ class DecisionTreeClassifier(Estimator):
         member[cols[feature, :j]] = True
         mask = member[cols]
         n_f = cols.shape[0]
-        node.left = self._grow_fast(
+        node.left = self._grow(
             cols[mask].reshape(n_f, j), vals[mask].reshape(n_f, j), depth + 1
         )
         inv = ~mask
-        node.right = self._grow_fast(
+        node.right = self._grow(
             cols[inv].reshape(n_f, n_node - j),
             vals[inv].reshape(n_f, n_node - j),
             depth + 1,
@@ -218,7 +198,7 @@ class DecisionTreeClassifier(Estimator):
         node.class_counts = counts
         return node
 
-    def _best_split_fast(
+    def _best_split(
         self, cols: np.ndarray, vals: np.ndarray, parent_counts: np.ndarray
     ) -> Optional[tuple[int, float, float]]:
         """Vectorised split search: all thresholds of all candidate
@@ -243,8 +223,8 @@ class DecisionTreeClassifier(Estimator):
         gains = parent_impurity - (n_left / n * il + n_right / n * ir)
         gains = np.where(valid, gains, -np.inf)
         # argmax takes the first maximum per feature, and features are
-        # compared in draw order with a strict ``>`` — the same first-win
-        # tie-break as the bruteforce scan.
+        # compared in draw order with a strict ``>``: the first candidate
+        # wins a tie.
         arg = np.argmax(gains, axis=1)
         best: Optional[tuple[int, float, float]] = None
         best_gain = 1e-12  # require strictly positive improvement
@@ -271,66 +251,6 @@ class DecisionTreeClassifier(Estimator):
             p = counts / denom
             plogp = np.where(counts > 0, p * np.log2(p), 0.0)
         return -np.sum(plogp, axis=-1)
-
-    # -- fitting: reference bruteforce splitter ----------------------------
-
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        counts = np.bincount(y, minlength=len(self.classes_))
-        node = _Node(class_counts=counts)
-        if (
-            len(y) < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or counts.max() == len(y)  # pure node
-        ):
-            return node
-        split = self._best_split(X, y, counts)
-        if split is None:
-            return node
-        feature, threshold, gain, left_mask = split
-        self._importance_raw[feature] += gain * len(y)
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(X[left_mask], y[left_mask], depth + 1)
-        node.right = self._grow(X[~left_mask], y[~left_mask], depth + 1)
-        node.class_counts = counts
-        return node
-
-    def _best_split(
-        self, X: np.ndarray, y: np.ndarray, parent_counts: np.ndarray
-    ) -> Optional[tuple[int, float, float, np.ndarray]]:
-        """The (feature, threshold) with the largest impurity decrease.
-
-        Uses the sorted-prefix trick: walking the sorted column once, class
-        counts on the left side accumulate incrementally, so each candidate
-        threshold is O(n_classes) instead of O(n).
-        """
-        parent_impurity = self._impurity(parent_counts)
-        n = len(y)
-        best: Optional[tuple[int, float, float, np.ndarray]] = None
-        best_gain = 1e-12  # require strictly positive improvement
-        for feature in self._features_for_split():
-            order = np.argsort(X[:, feature], kind="stable")
-            values = X[order, feature]
-            labels = y[order]
-            left_counts = np.zeros_like(parent_counts)
-            for i in range(n - 1):
-                left_counts[labels[i]] += 1
-                if values[i] == values[i + 1]:
-                    continue  # cannot split between equal values
-                n_left = i + 1
-                n_right = n - n_left
-                if n_left < self.min_samples_leaf or n_right < self.min_samples_leaf:
-                    continue
-                right_counts = parent_counts - left_counts
-                gain = parent_impurity - (
-                    n_left / n * self._impurity(left_counts)
-                    + n_right / n * self._impurity(right_counts)
-                )
-                if gain > best_gain:
-                    threshold = (values[i] + values[i + 1]) / 2.0
-                    best_gain = gain
-                    best = (feature, threshold, gain, X[:, feature] <= threshold)
-        return best
 
     # -- inference ---------------------------------------------------------
 
@@ -398,12 +318,6 @@ class DecisionTreeClassifier(Estimator):
                 proba,
             )
         return self._flat
-
-    def _leaf_counts(self, row: np.ndarray) -> np.ndarray:
-        node = self.root_
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.class_counts
 
     def depth(self) -> int:
         """Actual depth of the grown tree (0 for a stump/leaf-only tree)."""

@@ -7,7 +7,8 @@ see DESIGN.md §2 for the substitution rationale.
 
 from repro.phy.antenna import Beam, Codebook, sibeam_codebook, quasi_omni_gain_dbi
 from repro.phy.propagation import free_space_path_loss_db, oxygen_absorption_db
-from repro.phy.channel import Ray, ChannelState, trace_rays, LinkGeometry
+from repro.phy.channel import Ray, ChannelState, LinkGeometry
+from repro.phy.tracing import trace_rays_cached
 from repro.phy.blockage import HumanBlocker, blocker_positions_between
 from repro.phy.interference import (
     Interferer,
@@ -32,7 +33,7 @@ __all__ = [
     "oxygen_absorption_db",
     "Ray",
     "ChannelState",
-    "trace_rays",
+    "trace_rays_cached",
     "LinkGeometry",
     "HumanBlocker",
     "blocker_positions_between",

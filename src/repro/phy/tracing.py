@@ -1,23 +1,23 @@
-"""Vectorized image-method ray tracing with memoized per-link engines.
+"""Image-method ray tracing: the 60 GHz channel's sparse set of rays.
 
-:func:`repro.phy.channel.trace_rays` is exact but scalar: every call
-re-mirrors the Tx across every wall, re-runs ``O(walls²)`` Python-level
-segment intersections, and rebuilds obstacle lists.  The measurement
-campaign traces the *same* (room, Tx) thousands of times — across Rx
-positions, blockage reps, and the clear/blocked halves of every capture —
-so almost all of that work is reusable.
+The channel between a Tx pose and an Rx position is the LOS path plus
+first- and second-order wall/clutter reflections, found with the image
+method (§6.1 leans on this sparsity).  Each :class:`~repro.phy.channel.Ray`
+carries its AoD/AoA in the global frame, its path length, and its loss:
+free-space + oxygen, reflection, clutter and human-blockage losses.
 
-:class:`TraceEngine` precomputes everything that depends only on
-(room, Tx): columnar wall endpoint arrays, first-order Tx images, and the
-nested second-order image for every ordered wall pair.  A trace for one Rx
-is then a handful of NumPy broadcasts (intersections, clearance tests,
-blockage and path losses) over all walls / wall pairs at once.
+The measurement campaign traces the *same* (room, Tx) thousands of times —
+across Rx positions, blockage reps, and the clear/blocked halves of every
+capture — so :class:`TraceEngine` precomputes everything that depends only
+on (room, Tx): columnar wall endpoint arrays, first-order Tx images, and
+the nested second-order image for every ordered wall pair.  A trace for
+one Rx is then a handful of NumPy broadcasts (intersections, clearance
+tests, blockage and path losses) over all walls / wall pairs at once.
 
 Determinism contract (tested in ``tests/phy/test_tracing_batch.py``):
 
-* the engine reproduces the scalar tracer's ray list — same rays, same
-  sort order, values equal to ≤1e-9 (the arithmetic follows the scalar
-  formulas operation for operation, so in practice it is bit-identical);
+* the ray lists pinned in ``tests/phy/tracing_goldens.json`` define the
+  output — same rays, same sort order, every field bit for bit;
 * engines and per-Rx results are cached purely by value (room geometry,
   poses, blockers), so caching can never change a seeded run's output.
 """
@@ -35,14 +35,13 @@ from repro.constants import (
     OXYGEN_ABSORPTION_DB_PER_KM,
     SPEED_OF_LIGHT_M_S,
 )
-from repro.env.geometry import Point, Segment
+from repro.env.geometry import Point, Segment, path_is_clear, segment_intersection
 from repro.env.rooms import Room
-from repro.phy.channel import (
-    LinkGeometry,
-    Ray,
-    _MIN_RAY_GAIN_DB,
-    _los_ray,
-)
+from repro.phy.channel import LinkGeometry, Ray
+from repro.phy.propagation import path_loss_db
+
+_MIN_RAY_GAIN_DB = -140.0
+"""Rays with more than 140 dB of loss are dropped (below any noise floor)."""
 
 _EPS = 1e-9
 _ENDPOINT_TOL_M = 1e-3  # matches geometry.path_is_clear
@@ -69,7 +68,7 @@ def _path_loss_db_array(length_m: np.ndarray) -> np.ndarray:
     """Vectorized :func:`repro.phy.propagation.path_loss_db` (same formulas)."""
     d = np.maximum(length_m, 0.1)
     fspl = 20.0 * np.log10(4.0 * math.pi * d / _WAVELENGTH_M)
-    # Oxygen absorption uses the *unclamped* length, as the scalar code does.
+    # Oxygen absorption uses the *unclamped* length, as path_loss_db does.
     return fspl + OXYGEN_ABSORPTION_DB_PER_KM * length_m / 1000.0
 
 
@@ -95,7 +94,7 @@ def _intersections(
     Inputs broadcast against each other ((N, 2) rows or a single (2,)
     point).  Returns ``(hit, valid)`` where ``hit`` is the intersection
     point (garbage where invalid) and ``valid`` marks rows whose segments
-    genuinely cross (same ±eps slack as the scalar).
+    genuinely cross (same ±eps slack as ``segment_intersection``).
     """
     r = p2 - p1
     s = q2 - q1
@@ -113,23 +112,56 @@ def _intersections(
     return hit, valid
 
 
+def _blockage_loss_db(p1: Point, p2: Point, blockers: Sequence[Segment]) -> float:
+    """Total knife-edge loss from blockers crossing the sub-path ``p1p2``.
+
+    Each blocker segment stores its own loss in ``material_loss_db``.
+    """
+    loss = 0.0
+    for blocker in blockers:
+        if segment_intersection(p1, p2, blocker.a, blocker.b) is not None:
+            loss += blocker.material_loss_db
+    return loss
+
+
+def _los_ray(
+    room: Room, tx: Point, rx: Point, blockers: Sequence[Segment]
+) -> Optional[Ray]:
+    if not path_is_clear(tx, rx, room.obstacles()):
+        # Clutter fully blocks this LOS (e.g. desk rows); model as heavy loss
+        # rather than dropping the ray — mm-wave diffracts a little.
+        clutter_loss = 35.0
+    else:
+        clutter_loss = 0.0
+    length = tx.distance_to(rx)
+    loss = path_loss_db(length) + clutter_loss
+    loss += _blockage_loss_db(tx, rx, blockers)
+    if -loss < _MIN_RAY_GAIN_DB:
+        return None
+    return Ray(
+        aod_deg=math.degrees(tx.angle_to(rx)),
+        aoa_deg=math.degrees(rx.angle_to(tx)),
+        path_length_m=length,
+        loss_db=loss,
+        order=0,
+        via=(),
+    )
+
+
 class TraceEngine:
     """Batched ray tracer for a fixed (room, Tx position).
 
-    ``trace(rx, blockers)`` returns the same ray list as
-    ``trace_rays(LinkGeometry(room, tx, rx, blockers), max_order)`` and
-    memoizes results per (rx, blockers) value.
+    ``trace(rx, blockers)`` returns every ray up to ``max_order`` bounces
+    and memoizes results per (rx, blockers) value.
     """
 
-    def __init__(self, room: Room, tx: Point, max_order: int = 2,
-                 ray_cache_size: int = 1024):
+    def __init__(self, room: Room, tx: Point, max_order: int = 2):
         if max_order < 0:
             raise ValueError("max_order must be >= 0")
         self.room = room
         self.tx = tx
         self.max_order = max_order
         self._ray_cache: OrderedDict[tuple, list[Ray]] = OrderedDict()
-        self._ray_cache_size = ray_cache_size
 
         reflectors = room.reflectors()
         obstacles = room.obstacles()
@@ -161,8 +193,8 @@ class TraceEngine:
             self._oa = np.zeros((0, 2))
             self._ob = np.zeros((0, 2))
 
-        # Ordered wall pairs (i, j), i != j, in the scalar tracer's nested
-        # loop order, with the doubly-mirrored Tx image per pair.
+        # Ordered wall pairs (i, j), i != j, in row-major order (wall i
+        # first), with the doubly-mirrored Tx image per pair.
         n = len(reflectors)
         if max_order >= 2 and n >= 2:
             pi, pj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
@@ -185,8 +217,8 @@ class TraceEngine:
         """Rows whose path p1→p2 is blocked by clutter (path_is_clear logic).
 
         ``exclude[o]`` masks rows for which obstacle ``o`` is the reflecting
-        wall itself (and therefore skipped, as the scalar code filters it
-        out of the obstacle list before calling ``path_is_clear``).
+        wall itself and therefore skipped: a reflector never blocks its
+        own bounce.
         """
         rows = np.broadcast_shapes(np.shape(p1), np.shape(p2))[:-1]
         blocked = np.zeros(rows, dtype=bool)
@@ -323,7 +355,7 @@ class TraceEngine:
             return list(cached)
 
         rays: list[Ray] = []
-        los = _los_ray(LinkGeometry(self.room, self.tx, rx, tuple(blockers)))
+        los = _los_ray(self.room, self.tx, rx, blockers)
         if los is not None:
             rays.append(los)
         rxp = np.array([rx.x, rx.y])
@@ -334,13 +366,14 @@ class TraceEngine:
         rays.sort(key=lambda r: r.loss_db)
 
         self._ray_cache[key] = rays
-        if len(self._ray_cache) > self._ray_cache_size:
+        if len(self._ray_cache) > _RAY_CACHE_SIZE:
             self._ray_cache.popitem(last=False)
         return list(rays)
 
 
 _ENGINE_CACHE: OrderedDict[tuple, TraceEngine] = OrderedDict()
 _ENGINE_CACHE_SIZE = 256
+_RAY_CACHE_SIZE = 1024  # per-(Rx, blockers) ray lists kept by each engine
 
 
 def engine_for(room: Room, tx: Point, max_order: int = 2) -> TraceEngine:
@@ -362,10 +395,11 @@ def engine_for(room: Room, tx: Point, max_order: int = 2) -> TraceEngine:
 
 
 def trace_rays_cached(geometry: LinkGeometry, max_order: int = 2) -> list[Ray]:
-    """Drop-in replacement for :func:`repro.phy.channel.trace_rays`.
+    """Trace all rays up to ``max_order`` reflections, strongest first.
 
-    Same ray list, but vectorized over walls/wall pairs and memoized at two
-    levels: per-(room, Tx) precomputation and per-(Rx, blockers) results.
+    Vectorized over walls/wall pairs and memoized at two levels:
+    per-(room, Tx) precomputation and per-(Rx, blockers) results.
+    Raises ``ValueError`` for a negative ``max_order``.
     """
     engine = engine_for(geometry.room, geometry.tx_position, max_order)
     return engine.trace(geometry.rx_position, geometry.blockers)

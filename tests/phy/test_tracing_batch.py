@@ -1,4 +1,19 @@
-"""Vectorised/memoized tracer vs the scalar reference (PR contract ≤1e-9)."""
+"""Golden tracer tests: the byte-identity contract of the ray tracer.
+
+``tracing_goldens.json`` (next to this file) pins the exact ray lists the
+fixtures below traced at the commit recorded in it: every :class:`Ray`
+field, floats in shortest repr.  :func:`trace_rays_cached` must reproduce
+them bit for bit, from cold and from warm caches.
+
+The goldens change only with an intended change of tracing behaviour.
+Regenerate them with::
+
+    PYTHONPATH=src python -m tests.phy.test_tracing_batch --write COMMIT
+"""
+
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,14 +22,14 @@ from repro.env.geometry import Point, Segment
 from repro.env.rooms import make_conference_room, make_lobby
 from repro.phy import tracing
 from repro.phy.antenna import sibeam_codebook
-from repro.phy.channel import (
-    ChannelState,
-    LinkGeometry,
-    snr_db,
-    snr_matrix_db,
-    trace_rays,
-)
+from repro.phy.channel import ChannelState, LinkGeometry, snr_db, snr_matrix_db
 from repro.phy.tracing import TraceEngine, engine_for, trace_rays_cached
+from tests.goldens import dumps_goldens
+
+GOLDENS_PATH = Path(__file__).with_name("tracing_goldens.json")
+
+RAY_FIELDS = ("aod_deg", "aoa_deg", "path_length_m", "loss_db", "order", "via")
+ROOMS = (make_lobby, make_conference_room)
 
 
 @pytest.fixture(autouse=True)
@@ -40,37 +55,86 @@ def random_geometry(rng, room, with_blocker=False):
     return LinkGeometry(room, tx, rx, blockers)
 
 
-def assert_rays_match(scalar_rays, batch_rays):
-    assert len(scalar_rays) == len(batch_rays)
-    for a, b in zip(scalar_rays, batch_rays):
-        assert a.via == b.via
-        assert abs(a.loss_db - b.loss_db) <= 1e-9
-        assert abs(a.delay_s - b.delay_s) <= 1e-15
-        assert abs(a.aod_deg - b.aod_deg) <= 1e-9
-        assert abs(a.aoa_deg - b.aoa_deg) <= 1e-9
+def random_links(seed, make_room, count, with_blocker=False):
+    rng = np.random.default_rng(seed)
+    room = make_room()
+    return [random_geometry(rng, room, with_blocker) for _ in range(count)]
+
+
+def snr_geometries():
+    """The link and the interferer→Rx path of :class:`TestSnrMatrixParity`."""
+    (geometry,) = random_links(7, make_lobby, 1)
+    towards_rx = LinkGeometry(geometry.room, Point(5.0, 5.0), geometry.rx_position)
+    return geometry, towards_rx
+
+
+def fixtures() -> dict:
+    """Golden key → (link geometries, max_order)."""
+    cases = {}
+    for make_room in ROOMS:
+        room_id = make_room.__name__
+        for with_blocker in (False, True):
+            cases[f"random/{room_id}/blocker={with_blocker}"] = (
+                random_links(42, make_room, 25, with_blocker), 2
+            )
+        cases[f"los_only/{room_id}"] = (random_links(4, make_room, 10, True), 0)
+    cases["first_order/make_lobby"] = (random_links(3, make_lobby, 10), 1)
+    cases["snr/make_lobby"] = (list(snr_geometries()), 2)
+    return cases
+
+
+def ray_record(ray) -> list:
+    return [ray.aod_deg, ray.aoa_deg, ray.path_length_m, ray.loss_db,
+            ray.order, list(ray.via)]
+
+
+def trace_records(geometries, max_order) -> list:
+    return [
+        [ray_record(r) for r in trace_rays_cached(g, max_order)]
+        for g in geometries
+    ]
+
+
+def capture() -> dict:
+    return {
+        key: trace_records(geometries, max_order)
+        for key, (geometries, max_order) in fixtures().items()
+    }
+
+
+@pytest.fixture(scope="module")
+def goldens() -> dict:
+    document = json.loads(GOLDENS_PATH.read_text())
+    assert tuple(document["fields"]) == RAY_FIELDS
+    return document["records"]
+
+
+def assert_matches_golden(goldens, key):
+    """Fixture ``key`` traces to its pinned rays from cold and warm caches."""
+    geometries, max_order = fixtures()[key]
+    assert trace_records(geometries, max_order) == goldens[key]
+    assert trace_records(geometries, max_order) == goldens[key]
 
 
 class TestTracerParity:
-    @pytest.mark.parametrize("make_room", [make_lobby, make_conference_room])
+    @pytest.mark.parametrize("make_room", ROOMS)
     @pytest.mark.parametrize("with_blocker", [False, True])
-    def test_random_links_match_scalar(self, make_room, with_blocker):
-        rng = np.random.default_rng(42)
-        room = make_room()
-        for _ in range(25):
-            geometry = random_geometry(rng, room, with_blocker)
-            assert_rays_match(
-                trace_rays(geometry), trace_rays_cached(geometry)
-            )
+    def test_random_links_match_scalar(self, goldens, make_room, with_blocker):
+        """The pinned rays agreed with the image method's scalar reference
+        to ≤1e-9 when they were captured; exact equality keeps that."""
+        assert_matches_golden(
+            goldens, f"random/{make_room.__name__}/blocker={with_blocker}"
+        )
 
-    def test_first_order_only(self):
-        rng = np.random.default_rng(3)
-        room = make_lobby()
-        for _ in range(10):
-            geometry = random_geometry(rng, room)
-            assert_rays_match(
-                trace_rays(geometry, max_order=1),
-                trace_rays_cached(geometry, max_order=1),
-            )
+    def test_first_order_only(self, goldens):
+        assert_matches_golden(goldens, "first_order/make_lobby")
+
+    @pytest.mark.parametrize("make_room", ROOMS)
+    def test_los_only(self, goldens, make_room):
+        assert_matches_golden(goldens, f"los_only/{make_room.__name__}")
+
+    def test_every_fixture_is_pinned(self, goldens):
+        assert sorted(goldens) == sorted(fixtures())
 
     def test_rays_sorted_by_loss(self):
         geometry = random_geometry(np.random.default_rng(0), make_lobby())
@@ -90,7 +154,7 @@ class TestTracerCaching:
         engine = TraceEngine(room, Point(2.0, 3.0))
         first = engine.trace(Point(8.0, 4.0))
         again = engine.trace(Point(8.0, 4.0))
-        assert_rays_match(first, again)
+        assert first == again
 
     def test_cached_result_is_a_copy(self):
         """Mutating a returned list must not corrupt the cache."""
@@ -109,21 +173,21 @@ class TestTracerCaching:
 class TestSnrMatrixParity:
     """snr_matrix_db[i, j] must equal the scalar snr_db of pair (i, j)."""
 
+    def test_traced_links_match_golden(self, goldens):
+        assert_matches_golden(goldens, "snr/make_lobby")
+
     @pytest.mark.parametrize("with_interference", [False, True])
     def test_matrix_matches_scalar(self, with_interference):
         from repro.phy.interference import InterferenceField
 
-        rng = np.random.default_rng(7)
-        room = make_lobby()
         codebook = sibeam_codebook()
-        geometry = random_geometry(rng, room)
-        rays = trace_rays(geometry)
+        geometry, towards_rx = snr_geometries()
+        rays = trace_rays_cached(geometry)
         interference = None
         if with_interference:
-            towards_rx = trace_rays(
-                LinkGeometry(room, Point(5.0, 5.0), geometry.rx_position)
+            interference = InterferenceField(
+                tuple(trace_rays_cached(towards_rx)), eirp_dbm=5.0
             )
-            interference = InterferenceField(tuple(towards_rx), eirp_dbm=5.0)
         state = ChannelState(
             rays=rays, noise_dbm=-78.0, interference=interference, geometry=geometry
         )
@@ -133,3 +197,17 @@ class TestSnrMatrixParity:
             for j in range(0, len(codebook), 3):
                 scalar = snr_db(state, codebook[i], codebook[j], 10.0, 190.0, 10.0)
                 assert abs(matrix[i, j] - scalar) <= 1e-9
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3 or sys.argv[1] != "--write":
+        sys.exit("usage: python -m tests.phy.test_tracing_batch --write COMMIT")
+    document = {
+        "captured_at": sys.argv[2],
+        "note": "Tracer goldens for tests/phy/test_tracing_batch.py: one "
+                "list of rays per traced link, floats in shortest repr.",
+        "fields": list(RAY_FIELDS),
+        "records": capture(),
+    }
+    GOLDENS_PATH.write_text(dumps_goldens(document))
+    print(f"wrote {len(document['records'])} records to {GOLDENS_PATH}")

@@ -11,7 +11,8 @@ from repro.dataset.entry import Dataset
 from repro.env.geometry import Point, Segment
 from repro.env.placement import RadioPose
 from repro.env.rooms import Room
-from repro.phy.channel import ChannelState, LinkGeometry, trace_rays
+from repro.phy.channel import ChannelState, LinkGeometry
+from repro.phy.tracing import trace_rays_cached
 from repro.sim.engine import SimulationConfig, simulate_flow
 from repro.core.policies import RAFirstPolicy
 from repro.testbed.x60 import X60Link
@@ -38,7 +39,7 @@ class TestDegenerateGeometry:
             [], width=4.0, length=4.0,
         )
         geometry = LinkGeometry(room, Point(2.0, 2.0), Point(2.0, 2.0001))
-        rays = trace_rays(geometry, max_order=1)
+        rays = trace_rays_cached(geometry, max_order=1)
         assert rays  # near-field clamp keeps the LOS finite
         assert all(math.isfinite(r.loss_db) for r in rays)
 
@@ -50,7 +51,7 @@ class TestDegenerateGeometry:
             [], width=4.0, length=4.0,
         )
         geometry = LinkGeometry(room, Point(2.0, 2.0), Point(3.999, 3.999))
-        rays = trace_rays(geometry, max_order=2)
+        rays = trace_rays_cached(geometry, max_order=2)
         assert any(r.order == 0 for r in rays)
 
 

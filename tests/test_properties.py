@@ -23,8 +23,9 @@ from repro.core.ground_truth import (
 from repro.core.rate_adaptation import RateAdaptation
 from repro.env.geometry import Point, Segment, mirror_point
 from repro.env.rooms import make_lobby
-from repro.phy.channel import LinkGeometry, trace_rays
+from repro.phy.channel import LinkGeometry
 from repro.phy.error_model import best_throughput_mcs, codeword_delivery_ratio
+from repro.phy.tracing import trace_rays_cached
 from repro.sim.batch import BatchFlowSimulator
 from repro.sim.engine import SimulationConfig
 from repro.sim.vr import BandwidthProfile
@@ -156,7 +157,7 @@ class TestPhyProperties:
     def test_ray_count_and_losses_positive(self, x, y):
         room = make_lobby()
         geometry = LinkGeometry(room, Point(2.0, 6.0), Point(x, y))
-        rays = trace_rays(geometry, max_order=1)
+        rays = trace_rays_cached(geometry, max_order=1)
         assert rays, "lobby always has at least a LOS/reflection path"
         for ray in rays:
             assert ray.loss_db > 0
