@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.ground_truth import Action, GroundTruthConfig
-from repro.core.libra import LiBRA, LiBRAConfig, ThresholdClassifier
+from repro.core.libra import LiBRA, ThresholdClassifier
 from repro.core.rate_adaptation import RateAdaptation
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.metrics import accuracy_score

@@ -44,7 +44,7 @@ def run(model, learner, duration_s: float = 10.0):
     link = X60Link(room, RadioPose(Point(0.5, 0.6), 0.0))
     session = LiveSession(
         link, LiBRA(model), RadioPose(Point(10.0, 0.6), 180.0),
-        seed=0, pattern_learner=learner, prearm_guard_s=0.12, prearm_mcs_drop=4,
+        seed=0, pattern_learner=learner,
     )
     log = session.run(duration_s, obstruction_script(duration_s))
     return session, log

@@ -26,7 +26,6 @@ from repro.core import (
     FeatureVector,
     GroundTruthConfig,
     LiBRA,
-    LiBRAConfig,
     LinkAdaptationPolicy,
     RAFirstPolicy,
     RateAdaptation,
@@ -74,7 +73,6 @@ __all__ = [
     "FeatureVector",
     "GroundTruthConfig",
     "LiBRA",
-    "LiBRAConfig",
     "LinkAdaptationPolicy",
     "RAFirstPolicy",
     "RateAdaptation",

@@ -8,8 +8,7 @@ from repro.core.ground_truth import (
     Action,
     th_ra,
     th_ba,
-    recovery_delay_ra_s,
-    recovery_delay_ba_s,
+    recovery_delays_s,
     utility,
     max_delay_s,
     label_entry,
@@ -22,7 +21,7 @@ from repro.core.policies import (
     BAFirstPolicy,
     PolicyDecision,
 )
-from repro.core.libra import LiBRA, LiBRAConfig
+from repro.core.libra import LiBRA
 from repro.core.observation import (
     FrameFeedback,
     MetricWindow,
@@ -44,8 +43,7 @@ __all__ = [
     "Action",
     "th_ra",
     "th_ba",
-    "recovery_delay_ra_s",
-    "recovery_delay_ba_s",
+    "recovery_delays_s",
     "utility",
     "max_delay_s",
     "label_entry",
@@ -59,7 +57,6 @@ __all__ = [
     "BAFirstPolicy",
     "PolicyDecision",
     "LiBRA",
-    "LiBRAConfig",
     "FrameFeedback",
     "MetricWindow",
     "WindowSnapshot",

@@ -30,6 +30,7 @@ from typing import Optional
 
 from repro.constants import X60_NUM_MCS
 from repro.core.mcs import X60_MCS_SET
+from repro.core.rate_adaptation import first_working_descending
 from repro.testbed.traces import StateMeasurement
 
 
@@ -73,29 +74,6 @@ def max_delay_s(config: GroundTruthConfig) -> float:
     return 2.0 * config.num_mcs * config.frame_time_s + config.ba_overhead_s
 
 
-def _is_working(measurement: StateMeasurement, mcs: int) -> bool:
-    from repro.constants import WORKING_MCS_MIN_CDR, WORKING_MCS_MIN_THROUGHPUT_MBPS
-
-    return (
-        measurement.cdr[mcs] > WORKING_MCS_MIN_CDR
-        and measurement.throughput_mbps[mcs] > WORKING_MCS_MIN_THROUGHPUT_MBPS
-    )
-
-
-def first_working_descending(
-    measurement: StateMeasurement, start_mcs: int
-) -> tuple[Optional[int], int]:
-    """Scan MCSs ``start_mcs, start_mcs-1, …, 0`` until one works.
-
-    Returns ``(found_mcs_or_None, frames_spent)``; a full failed scan costs
-    ``start_mcs + 1`` frames.
-    """
-    for steps, mcs in enumerate(range(start_mcs, -1, -1), start=1):
-        if _is_working(measurement, mcs):
-            return mcs, steps
-    return None, start_mcs + 1
-
-
 def th_ra(new_same_pair: StateMeasurement, initial_mcs: int) -> float:
     """Th(RA): best throughput on the old beam pair, MCS ≤ initial (§5.2)."""
     return new_same_pair.best_throughput(max_mcs=initial_mcs)
@@ -104,43 +82,6 @@ def th_ra(new_same_pair: StateMeasurement, initial_mcs: int) -> float:
 def th_ba(new_best_pair: StateMeasurement, initial_mcs: int) -> float:
     """Th(BA): best throughput on the new best pair, MCS ≤ initial (§5.2)."""
     return new_best_pair.best_throughput(max_mcs=initial_mcs)
-
-
-def recovery_delay_ra_s(
-    new_same_pair: StateMeasurement,
-    new_best_pair: StateMeasurement,
-    initial_mcs: int,
-    config: GroundTruthConfig,
-) -> float:
-    """Link recovery delay when RA is triggered first.
-
-    If the old pair still has a working MCS the delay is just the probing
-    frames; otherwise the full failed scan, the BA sweep, and a second scan
-    on the new pair are all paid (the paper's D_max construction).
-    """
-    found, frames = first_working_descending(new_same_pair, initial_mcs)
-    if found is not None:
-        return frames * config.frame_time_s
-    delay = frames * config.frame_time_s + config.ba_overhead_s
-    found2, frames2 = first_working_descending(new_best_pair, initial_mcs)
-    delay += frames2 * config.frame_time_s
-    if found2 is None:
-        # Nothing works anywhere: the link is dead; delay saturates at D_max.
-        return max_delay_s(config)
-    return delay
-
-
-def recovery_delay_ba_s(
-    new_best_pair: StateMeasurement,
-    initial_mcs: int,
-    config: GroundTruthConfig,
-) -> float:
-    """Link recovery delay when BA is triggered first (then RA)."""
-    found, frames = first_working_descending(new_best_pair, initial_mcs)
-    delay = config.ba_overhead_s + frames * config.frame_time_s
-    if found is None:
-        return max_delay_s(config)
-    return delay
 
 
 def utility(throughput_mbps: float, delay_s: float, config: GroundTruthConfig) -> float:
@@ -162,7 +103,7 @@ class LabelInputs:
     descending scans.  Computing these once per entry lets the evaluation
     grid relabel the training set for each operating point in O(1) float
     work per entry (:func:`label_from_inputs`) instead of re-walking the
-    traces — with identical arithmetic, so labels match bit for bit.
+    traces.
     """
 
     th_ra: float
@@ -191,15 +132,17 @@ def label_inputs(
     )
 
 
-def label_from_inputs(
+def recovery_delays_s(
     inputs: LabelInputs, config: GroundTruthConfig = GroundTruthConfig()
-) -> Action:
-    """:func:`label_entry` from precomputed scans — same floats, same label.
+) -> tuple[float, float]:
+    """Link recovery delays ``(RA first, BA first)`` of one entry.
 
-    The delay expressions replicate :func:`recovery_delay_ra_s` and
-    :func:`recovery_delay_ba_s` operation by operation (same order, same
-    saturation), so the utilities — and therefore the tie-margin decision —
-    are bitwise identical to the trace-walking path.
+    RA first: if the old pair still has a working MCS the delay is just
+    the probing frames; otherwise the full failed scan, the BA sweep, and
+    a second scan on the new pair are all paid (the paper's D_max
+    construction).  BA first: the sweep, then the scan on the new pair.
+    When nothing works on the new pair the link is dead and both delays
+    saturate at D_max.
     """
     if inputs.found_same is not None:
         delay_ra = inputs.frames_same * config.frame_time_s
@@ -211,6 +154,17 @@ def label_from_inputs(
         delay_ba = max_delay_s(config)
     else:
         delay_ba = config.ba_overhead_s + inputs.frames_best * config.frame_time_s
+    return delay_ra, delay_ba
+
+
+def label_from_inputs(
+    inputs: LabelInputs, config: GroundTruthConfig = GroundTruthConfig()
+) -> Action:
+    """The ground-truth winner from one entry's precomputed scans.
+
+    Ties go to RA, matching the paper's "perform RA when Th(RA) ≥ Th(BA)".
+    """
+    delay_ra, delay_ba = recovery_delays_s(inputs, config)
     u_ra = utility(inputs.th_ra, delay_ra, config)
     u_ba = utility(inputs.th_ba, delay_ba, config)
     return Action.RA if u_ra >= u_ba - config.tie_margin else Action.BA
@@ -222,18 +176,7 @@ def label_entry(
     initial_mcs: int,
     config: GroundTruthConfig = GroundTruthConfig(),
 ) -> Action:
-    """The ground-truth winner for one dataset entry.
-
-    Ties go to RA, matching the paper's "perform RA when Th(RA) ≥ Th(BA)".
-    """
-    u_ra = utility(
-        th_ra(new_same_pair, initial_mcs),
-        recovery_delay_ra_s(new_same_pair, new_best_pair, initial_mcs, config),
-        config,
+    """The ground-truth winner for one dataset entry."""
+    return label_from_inputs(
+        label_inputs(new_same_pair, new_best_pair, initial_mcs), config
     )
-    u_ba = utility(
-        th_ba(new_best_pair, initial_mcs),
-        recovery_delay_ba_s(new_best_pair, initial_mcs, config),
-        config,
-    )
-    return Action.RA if u_ra >= u_ba - config.tie_margin else Action.BA

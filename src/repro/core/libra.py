@@ -20,16 +20,12 @@ models, as the paper stresses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Protocol
 
 import numpy as np
 
-from repro.constants import (
-    BA_OVERHEAD_THRESHOLD_S,
-    DECISION_PERIOD_FRAMES,
-    MISSING_ACK_MCS_THRESHOLD,
-)
+from repro.constants import BA_OVERHEAD_THRESHOLD_S, MISSING_ACK_MCS_THRESHOLD
 from repro.core.ground_truth import Action
 from repro.core.policies import (
     LinkAdaptationPolicy,
@@ -45,30 +41,12 @@ class Classifier(Protocol):
     def predict(self, features: np.ndarray) -> np.ndarray: ...
 
 
-@dataclass(frozen=True)
-class LiBRAConfig:
-    """Protocol knobs of the controller (defaults = the paper's)."""
-
-    missing_ack_mcs_threshold: int = MISSING_ACK_MCS_THRESHOLD
-    ba_overhead_threshold_s: float = BA_OVERHEAD_THRESHOLD_S
-    decision_period_frames: int = DECISION_PERIOD_FRAMES
-
-    def __post_init__(self) -> None:
-        if self.decision_period_frames < 1:
-            raise ValueError("decision period must be at least one frame")
-
-
 @dataclass
 class LiBRA(LinkAdaptationPolicy):
     """The learning-based policy of Algorithm 1."""
 
     model: Classifier
-    config: LiBRAConfig = field(default_factory=LiBRAConfig)
     name: str = "LiBRA"
-    _frames_since_decision: int = field(default=0, init=False, repr=False)
-
-    def reset(self) -> None:
-        self._frames_since_decision = 0
 
     def decide(self, observation: Observation) -> PolicyDecision:
         """One pass of Algorithm 1's selectAction().
@@ -180,9 +158,9 @@ class LiBRA(LinkAdaptationPolicy):
         MCS ≥ 6 it is a coin flip (48/52), so the tie-breaker is the BA
         overhead: sweep first only when sweeping is cheap.
         """
-        if observation.current_mcs < self.config.missing_ack_mcs_threshold:
+        if observation.current_mcs < MISSING_ACK_MCS_THRESHOLD:
             return PolicyDecision(Action.BA, "missing ACK at low MCS: BA wins 92%")
-        if observation.ba_overhead_s < self.config.ba_overhead_threshold_s:
+        if observation.ba_overhead_s < BA_OVERHEAD_THRESHOLD_S:
             return PolicyDecision(Action.BA, "missing ACK, cheap sweep: BA first")
         return PolicyDecision(Action.RA, "missing ACK, expensive sweep: RA first")
 

@@ -21,6 +21,7 @@ from typing import Optional
 
 from repro.core.ground_truth import Action
 from repro.core.metrics import FeatureVector
+from repro.obs.metrics import get_metrics
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,25 @@ class LinkAdaptationPolicy(abc.ABC):
 
     def reset(self) -> None:
         """Clear any per-flow state (default: stateless)."""
+
+
+def decide_or_degrade(
+    policy: LinkAdaptationPolicy, observation: Observation, error_counter: str
+) -> PolicyDecision:
+    """``policy.decide(observation)``; a policy that raises is counted on
+    the process-wide ``error_counter`` and asked again on the degraded
+    (§7 missing-ACK) observation, whose answer comes back as a fallback."""
+    try:
+        return policy.decide(observation)
+    except Exception as error:  # isolation boundary: a crashing policy must not kill the run
+        get_metrics().counter(error_counter).inc()
+        rule = policy.decide(observation.degraded())
+        return PolicyDecision(
+            rule.action,
+            f"policy error ({type(error).__name__}: {error}); "
+            f"retried degraded: {rule.reason}",
+            fallback=True,
+        )
 
 
 def _decide_each(

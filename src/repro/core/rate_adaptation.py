@@ -2,12 +2,14 @@
 
 Two responsibilities:
 
-1. **Link repair** (:meth:`RateAdaptation.repair`): starting from the MCS
-   in use, probe downward one aggregated frame per MCS until the first
-   *working* MCS appears, then settle on the best-throughput working MCS
-   found along the way.  If nothing works, the caller must fall back to BA
-   followed by another repair round (the ground truth and simulator both
-   account for that).
+1. **Link repair** (:func:`repair_ladder`, behind
+   :meth:`RateAdaptation.repair`): starting from the MCS in use, probe
+   downward one aggregated frame per MCS until the first *working* MCS
+   appears, then settle on the best-throughput working MCS found along the
+   way.  If nothing works, the caller falls back to BA followed by another
+   scan.  :func:`first_working_descending` is the §5.2 ground truth's
+   scan, which stops at the first working MCS.  The replay, the live loop
+   and the ground truth all scan through these two.
 
 2. **Upward probing** (:meth:`RateAdaptation.frames`): once settled, probe
    the next-higher MCS whenever the recent CDR clears an opportunistic
@@ -27,7 +29,8 @@ from repro.constants import (
     X60_NUM_MCS,
 )
 from repro.core.mcs import X60_MCS_SET, MCSSet
-from repro.testbed.traces import McsTraces
+from repro.phy.error_model import is_working
+from repro.testbed.traces import McsTraces, StateMeasurement
 
 
 def cdr_ori_threshold(mcs: int, mcs_set: MCSSet = X60_MCS_SET) -> float:
@@ -129,10 +132,26 @@ def repair_ladder(
             # Throughput turned down: settle at the previous MCS.
             break
         max_tput = tput
-        if RateAdaptation._is_working(traces, mcs):
+        if is_working(traces.cdr[mcs], tput):
             best_mcs = mcs
     settled = 0.0 if best_mcs is None else float(traces.throughput_mbps[best_mcs])
     return RepairLadder(start_mcs, best_mcs, frames, tuple(probed), settled)
+
+
+def first_working_descending(
+    measurement: StateMeasurement, start_mcs: int
+) -> tuple[Optional[int], int]:
+    """Scan MCSs ``start_mcs, start_mcs-1, …, 0`` until one works.
+
+    The §5.2 ground truth's scan: unlike :func:`repair_ladder` it stops at
+    the first working MCS instead of following the throughput down.
+    Returns ``(found_mcs_or_None, frames_spent)``; a full failed scan costs
+    ``start_mcs + 1`` frames.
+    """
+    for steps, mcs in enumerate(range(start_mcs, -1, -1), start=1):
+        if is_working(measurement.cdr[mcs], measurement.throughput_mbps[mcs]):
+            return mcs, steps
+    return None, start_mcs + 1
 
 
 _STEADY_RUNS_MAX_FRAMES = 1_000_000
@@ -241,15 +260,6 @@ class RateAdaptation:
         """
         return repair_ladder(traces, start_mcs, initial_throughput_mbps).result(
             self.frame_time_s
-        )
-
-    @staticmethod
-    def _is_working(traces: McsTraces, mcs: int) -> bool:
-        from repro.constants import WORKING_MCS_MIN_CDR, WORKING_MCS_MIN_THROUGHPUT_MBPS
-
-        return (
-            traces.cdr[mcs] > WORKING_MCS_MIN_CDR
-            and traces.throughput_mbps[mcs] > WORKING_MCS_MIN_THROUGHPUT_MBPS
         )
 
     def frames(

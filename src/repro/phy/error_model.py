@@ -72,13 +72,18 @@ def throughput_mbps(snr_db: float, mcs: int) -> float:
     return phy_rate_mbps(mcs) * codeword_delivery_ratio(snr_db, mcs)
 
 
-def is_working_mcs(snr_db: float, mcs: int) -> bool:
+def is_working(cdr: float, throughput_mbps: float) -> bool:
     """The paper's working-MCS predicate (§5.2): CDR > 10 % AND
     throughput > 150 Mbps."""
-    cdr = codeword_delivery_ratio(snr_db, mcs)
-    return cdr > WORKING_MCS_MIN_CDR and throughput_mbps(snr_db, mcs) > (
-        WORKING_MCS_MIN_THROUGHPUT_MBPS
+    return cdr > WORKING_MCS_MIN_CDR and (
+        throughput_mbps > WORKING_MCS_MIN_THROUGHPUT_MBPS
     )
+
+
+def is_working_mcs(snr_db: float, mcs: int) -> bool:
+    """:func:`is_working` on the expected CDR and throughput at ``snr_db``."""
+    cdr = codeword_delivery_ratio(snr_db, mcs)
+    return is_working(cdr, phy_rate_mbps(mcs) * cdr)
 
 
 def highest_working_mcs(

@@ -30,7 +30,12 @@ from typing import Optional
 import numpy as np
 
 from repro.core.ground_truth import Action
-from repro.core.policies import LinkAdaptationPolicy, Observation, PolicyDecision
+from repro.core.policies import (
+    LinkAdaptationPolicy,
+    Observation,
+    PolicyDecision,
+    decide_or_degrade,
+)
 from repro.dataset.entry import DatasetEntry
 from repro.obs.events import FlowEvent, RepairStep
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, get_metrics
@@ -190,20 +195,9 @@ class BatchFlowSimulator:
                     trajectories, "same", ladder.found_mcs, remaining
                 )
                 return FlowResult(delivered, elapsed, action, ladder.found_mcs)
-            # Algorithm 1 fallback: failed RA -> BA -> RA on the new pair.
-            elapsed += config.ba_overhead_s
-            fallback = trajectories.ladder_best
-            elapsed += fallback.frames_spent * config.frame_time_s
-            delivered += self._ladder_search_bytes(trajectories, "best")
-            if fallback.found_mcs is None:
-                return FlowResult(delivered, min(elapsed, duration_s), action, None, True)
-            remaining = max(0.0, duration_s - elapsed)
-            delivered += self._steady_bytes(
-                trajectories, "best", fallback.found_mcs, remaining
-            )
-            return FlowResult(delivered, elapsed, action, fallback.found_mcs)
 
-        # BA first: sweep (zero goodput), then RA on the new best pair.
+        # BA first, or Algorithm 1's fallback after a failed RA: sweep
+        # (zero goodput), then RA on the new best pair.
         elapsed += config.ba_overhead_s
         ladder = trajectories.ladder_best
         elapsed += ladder.frames_spent * config.frame_time_s
@@ -301,22 +295,11 @@ class BatchFlowSimulator:
             return PolicyDecision(
                 self.oracle_delay_action(entry, duration_s), "clairvoyant"
             )
-        observation = self.observation(entry)
-        try:
-            return policy.decide(observation)
-        except Exception as error:  # isolation boundary: a crashing policy must not kill the run
-            # Count the degradation on the process-wide registry (never the
-            # per-call one, which holds only the flow stream), then retry
-            # with the feedback discarded — the degraded observation is the
-            # missing-ACK shape every policy must handle (§7).
-            get_metrics().counter("sim.policy_decide_error").inc()
-            rule = policy.decide(observation.degraded())
-            return PolicyDecision(
-                rule.action,
-                f"policy error ({type(error).__name__}: {error}); "
-                f"retried degraded: {rule.reason}",
-                fallback=True,
-            )
+        # The error counter is process-wide, never the per-call registry,
+        # which holds only the flow stream.
+        return decide_or_degrade(
+            policy, self.observation(entry), "sim.policy_decide_error"
+        )
 
     def simulate_with_decision(
         self,
@@ -400,43 +383,25 @@ class BatchFlowSimulator:
     ) -> None:
         """Record the executed action's repair rounds on the event."""
         trajectories = self.trajectories(entry)
-        if executed is Action.RA:
-            ladder = trajectories.ladder_same
-            trace.repairs.append(
-                RepairStep(
-                    pair="same",
-                    start_mcs=entry.initial_mcs,
-                    frames_spent=ladder.frames_spent,
-                    found_mcs=ladder.found_mcs,
-                    bytes_during_search=self._ladder_search_bytes(trajectories, "same"),
-                )
+
+        def repair_step(pair: str) -> RepairStep:
+            ladder = trajectories.ladder(pair)
+            return RepairStep(
+                pair=pair,
+                start_mcs=entry.initial_mcs,
+                frames_spent=ladder.frames_spent,
+                found_mcs=ladder.found_mcs,
+                bytes_during_search=self._ladder_search_bytes(trajectories, pair),
             )
-            if ladder.found_mcs is None:
+
+        if executed is Action.RA:
+            trace.repairs.append(repair_step("same"))
+            if trajectories.ladder_same.found_mcs is None:
                 trace.ba_invoked = True
-                fallback = trajectories.ladder_best
-                trace.repairs.append(
-                    RepairStep(
-                        pair="best",
-                        start_mcs=entry.initial_mcs,
-                        frames_spent=fallback.frames_spent,
-                        found_mcs=fallback.found_mcs,
-                        bytes_during_search=self._ladder_search_bytes(
-                            trajectories, "best"
-                        ),
-                    )
-                )
+                trace.repairs.append(repair_step("best"))
         elif executed is Action.BA:
             trace.ba_invoked = True
-            ladder = trajectories.ladder_best
-            trace.repairs.append(
-                RepairStep(
-                    pair="best",
-                    start_mcs=entry.initial_mcs,
-                    frames_spent=ladder.frames_spent,
-                    found_mcs=ladder.found_mcs,
-                    bytes_during_search=self._ladder_search_bytes(trajectories, "best"),
-                )
-            )
+            trace.repairs.append(repair_step("best"))
 
 
 def batch_decisions(

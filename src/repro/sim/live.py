@@ -21,7 +21,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.constants import WORKING_MCS_MIN_CDR, WORKING_MCS_MIN_THROUGHPUT_MBPS
+from repro.constants import (
+    DEAD_LINK_CDR,
+    DECISION_PERIOD_FRAMES,
+    PROBE_BACKOFF_CAP,
+    PROBE_INTERVAL_MIN_FRAMES,
+    X60_NUM_MCS,
+)
 from repro.core.ground_truth import Action
 from repro.core.observation import (
     FrameFeedback,
@@ -31,23 +37,33 @@ from repro.core.observation import (
     features_between,
 )
 from repro.core.history import BlockagePatternLearner
-from repro.core.policies import LinkAdaptationPolicy, Observation, PolicyDecision
-from repro.core.rate_adaptation import cdr_ori_threshold
-from repro.env.placement import RadioPose
-from repro.mac.sls import (
-    SWEEP_MIN_VALID_SNR_DB,
-    SweepError,
-    SweepRetryPolicy,
-    sweep_with_retry,
+from repro.core.policies import LinkAdaptationPolicy, Observation, decide_or_degrade
+from repro.core.rate_adaptation import (
+    cdr_ori_threshold,
+    first_working_descending,
+    repair_ladder,
 )
+from repro.env.placement import RadioPose
+from repro.mac.sls import SweepError, SweepRetryPolicy, sweep_with_retry
 from repro.obs.events import FaultEvent
-from repro.obs.metrics import get_metrics
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.phy.blockage import HumanBlocker
-from repro.phy.error_model import phy_rate_mbps
+from repro.phy.error_model import is_working, phy_rate_mbps
 from repro.phy.interference import Interferer
 from repro.testbed.traces import METRIC_AGE_KEY
 from repro.testbed.x60 import X60Link
+
+FRAME_TIME_S = 2e-3
+"""Aggregated-frame duration (FAT) of every live session."""
+
+PREARM_GUARD_S = 0.12
+"""Pre-arm when the pattern learner predicts a break within this window."""
+
+PREARM_MCS_DROP = 4
+"""MCS rungs a pre-arm drops the rate by."""
+
+SWEEP_RETRY = SweepRetryPolicy()
+"""Bounded retry-with-backoff applied when beam training fails."""
 
 
 @dataclass(frozen=True)
@@ -114,19 +130,13 @@ class LiveSession:
         policy: Any :class:`LinkAdaptationPolicy`; LiBRA for the real
             thing, the heuristics or StaticPolicy for baselines.
         initial_rx: The Rx pose at t = 0.
-        frame_time_s: Aggregated-frame duration (FAT).
         ba_overhead_s: Wall-clock cost of one sweep (§8.1 grid).
-        decision_period_frames: Algorithm 1 decides every N frames (2).
         seed: Drives measurement noise and sweep noise.
         pattern_learner: Optional §7-future-work extension: link breaks
             feed the learner, and when it predicts the next break within
-            ``prearm_guard_s`` the session pre-emptively drops the MCS one
-            rung — paying a tiny rate cost instead of a full missing-ACK
-            recovery when the hit lands.
-        prearm_guard_s: Look-ahead window for pre-arming.
-        sweep_retry: Bounded retry-with-backoff policy applied when beam
-            training fails (a :class:`~repro.mac.sls.SweepError`, or a
-            best SNR under ``sweep_min_valid_snr_db``).
+            :data:`PREARM_GUARD_S` the session pre-emptively drops the MCS
+            :data:`PREARM_MCS_DROP` rungs — paying a small rate cost
+            instead of a full missing-ACK recovery when the hit lands.
         metric_staleness_s: Optional staleness window for ACK-borne
             metrics: feedback measured more than this many seconds ago is
             dropped instead of classified on.  ``None`` disables the check.
@@ -134,7 +144,12 @@ class LiveSession:
             measured SNR.  ``None`` (default) accepts any result — a fully
             blocked link legitimately sweeps below 0 dB and an immediate
             retry cannot help — while the chaos paths pass
-            :data:`~repro.mac.sls.SWEEP_MIN_VALID_SNR_DB`.
+            :data:`~repro.mac.sls.SWEEP_MIN_VALID_SNR_DB`.  A failed
+            sweep (a :class:`~repro.mac.sls.SweepError`, or a best SNR
+            under the floor) is retried per :data:`SWEEP_RETRY`.
+
+    Every session sends frames of :data:`FRAME_TIME_S` and decides every
+    :data:`~repro.constants.DECISION_PERIOD_FRAMES` frames.
     """
 
     def __init__(
@@ -142,26 +157,19 @@ class LiveSession:
         link: X60Link,
         policy: LinkAdaptationPolicy,
         initial_rx: RadioPose,
-        frame_time_s: float = 2e-3,
         ba_overhead_s: float = 5e-3,
-        decision_period_frames: int = 2,
         seed: int = 0,
         pattern_learner: Optional[BlockagePatternLearner] = None,
-        prearm_guard_s: float = 0.1,
-        prearm_mcs_drop: int = 3,
-        sweep_retry: SweepRetryPolicy = SweepRetryPolicy(),
         metric_staleness_s: Optional[float] = None,
         sweep_min_valid_snr_db: Optional[float] = None,
     ):
         self.link = link
         self.policy = policy
         self.rx = initial_rx
-        self.frame_time_s = frame_time_s
         self.ba_overhead_s = ba_overhead_s
         self.rng = np.random.default_rng(seed)
         self.blockers: tuple[HumanBlocker, ...] = ()
         self.interferer: Optional[Interferer] = None
-        self.sweep_retry = sweep_retry
         self.sweep_min_valid_snr_db = sweep_min_valid_snr_db
         self._state = link.channel_state(initial_rx, rng=self.rng)
         try:
@@ -173,15 +181,13 @@ class LiveSession:
             tx_beam, rx_beam = 0, 0
         self.tx_beam, self.rx_beam = tx_beam, rx_beam
         self.mcs = self._best_live_mcs()
-        self.window = MetricWindow(decision_period_frames, max_age_s=metric_staleness_s)
+        self.window = MetricWindow(DECISION_PERIOD_FRAMES, max_age_s=metric_staleness_s)
         self.previous_snapshot: Optional[WindowSnapshot] = None
         # §7 upward probing state.
-        self._probe_interval = 5
+        self._probe_interval = PROBE_INTERVAL_MIN_FRAMES
         self._since_probe = 0
         self._failed_probes = 0
         self.pattern_learner = pattern_learner
-        self.prearm_guard_s = prearm_guard_s
-        self.prearm_mcs_drop = prearm_mcs_drop
         self.prearms = 0
 
     # -- channel plumbing ----------------------------------------------------
@@ -222,8 +228,8 @@ class LiveSession:
         """
         measurement = self._measure()
         cdr = float(measurement.cdr[self.mcs])
-        payload = phy_rate_mbps(self.mcs) * 1e6 / 8.0 * self.frame_time_s * cdr
-        if cdr < 1e-3:
+        payload = phy_rate_mbps(self.mcs) * 1e6 / 8.0 * FRAME_TIME_S * cdr
+        if cdr < DEAD_LINK_CDR:
             return payload, None  # whole frame lost: no Block ACK
         age_s = float(measurement.extra.get(METRIC_AGE_KEY, 0.0))
         feedback = FrameFeedback(
@@ -241,11 +247,10 @@ class LiveSession:
         best = measurement.best_mcs()
         return best if best is not None else 0
 
-    def _is_working(self, mcs: int) -> bool:
+    def _current_mcs_working(self) -> bool:
         measurement = self._measure()
-        return (
-            measurement.cdr[mcs] > WORKING_MCS_MIN_CDR
-            and measurement.throughput_mbps[mcs] > WORKING_MCS_MIN_THROUGHPUT_MBPS
+        return is_working(
+            measurement.cdr[self.mcs], measurement.throughput_mbps[self.mcs]
         )
 
     # -- adaptation mechanisms -------------------------------------------------
@@ -260,7 +265,7 @@ class LiveSession:
 
         Each attempt is one full sweep (charged ``ba_overhead_s``); a
         :class:`SweepError` or a best SNR under the configured validity
-        floor fails the attempt and backs off per ``sweep_retry``.  When
+        floor fails the attempt and backs off per :data:`SWEEP_RETRY`.  When
         every attempt fails the previous beam pair survives — a stale pair
         beats acting on a sweep that measured nothing.
         """
@@ -285,7 +290,7 @@ class LiveSession:
                 ))
 
         pair, attempts, elapsed = sweep_with_retry(
-            attempt, self.sweep_retry, attempt_cost_s=self.ba_overhead_s,
+            attempt, SWEEP_RETRY, attempt_cost_s=self.ba_overhead_s,
             on_failure=on_failure,
         )
         log.sweeps += attempts
@@ -311,40 +316,28 @@ class LiveSession:
         """Algorithm 1's RA(): descend from ``start_mcs`` probing live
         frames; returns (bytes delivered during the search, time spent).
 
-        A fully failed search falls back to BA + a second search, exactly
-        like the trace-based engine.
+        The scan is the replay's :func:`repair_ladder` on one fresh
+        measurement.  When it finds no working MCS, BA runs and then the
+        §5.2 first-working scan (:func:`first_working_descending`) on the
+        new pair, stopping at the first working MCS.  The trace-based
+        replay differs here: its fallback runs a full :func:`repair_ladder`
+        on the best pair.
         """
         log.ra_repairs += 1
-        measurement = self._measure()
+        ladder = repair_ladder(self._measure(), start_mcs)
+        delivered = ladder.search_bytes(FRAME_TIME_S)
         elapsed = 0.0
-        delivered = 0.0
-        max_tput = 0.0
-        best: Optional[int] = None
-        for mcs in range(start_mcs, -1, -1):
-            elapsed += self.frame_time_s
-            tput = float(measurement.throughput_mbps[mcs])
-            delivered += tput * 1e6 / 8.0 * self.frame_time_s
-            if tput < max_tput:
-                break
-            max_tput = tput
-            if (
-                measurement.cdr[mcs] > WORKING_MCS_MIN_CDR
-                and tput > WORKING_MCS_MIN_THROUGHPUT_MBPS
-            ):
-                best = mcs
+        for _ in range(ladder.frames_spent):
+            elapsed += FRAME_TIME_S
+        best = ladder.found_mcs
         if best is None:
             elapsed += self._run_ba(log, recorder, clock)
             measurement = self._measure()
-            for mcs in range(start_mcs, -1, -1):
-                elapsed += self.frame_time_s
+            best, frames = first_working_descending(measurement, start_mcs)
+            for mcs in range(start_mcs, start_mcs - frames, -1):
+                elapsed += FRAME_TIME_S
                 tput = float(measurement.throughput_mbps[mcs])
-                delivered += tput * 1e6 / 8.0 * self.frame_time_s
-                if (
-                    measurement.cdr[mcs] > WORKING_MCS_MIN_CDR
-                    and tput > WORKING_MCS_MIN_THROUGHPUT_MBPS
-                ):
-                    best = mcs
-                    break
+                delivered += tput * 1e6 / 8.0 * FRAME_TIME_S
         self.mcs = best if best is not None else 0
         self.window.reset()
         self.previous_snapshot = None
@@ -353,7 +346,7 @@ class LiveSession:
     def _maybe_probe_up(self, feedback: FrameFeedback) -> None:
         """§7 upward probing with the adaptive interval."""
         self._since_probe += 1
-        if self.mcs >= 8 or self._since_probe < self._probe_interval:
+        if self.mcs >= X60_NUM_MCS - 1 or self._since_probe < self._probe_interval:
             return
         if feedback.cdr <= cdr_ori_threshold(self.mcs):
             return
@@ -363,10 +356,29 @@ class LiveSession:
         if measurement.throughput_mbps[higher] > measurement.throughput_mbps[self.mcs]:
             self.mcs = higher
             self._failed_probes = 0
-            self._probe_interval = 5
+            self._probe_interval = PROBE_INTERVAL_MIN_FRAMES
         else:
             self._failed_probes += 1
-            self._probe_interval = 5 * min(2 ** self._failed_probes, 32)
+            self._probe_interval = PROBE_INTERVAL_MIN_FRAMES * min(
+                2 ** self._failed_probes, PROBE_BACKOFF_CAP
+            )
+
+    def _execute(
+        self, action: Action, log: SessionLog, recorder: TraceRecorder, clock: float
+    ) -> float:
+        """Log and run one RA or BA at ``clock``; returns the clock after it.
+
+        BA sweeps and then repairs from the current MCS (Algorithm 1 always
+        follows BA with RA); RA repairs from one MCS lower.
+        """
+        log.actions.append((clock, action))
+        if action is Action.BA:
+            clock += self._run_ba(log, recorder, clock)
+            delivered, spent = self._run_ra(log, self.mcs, recorder, clock)
+        else:
+            delivered, spent = self._run_ra(log, max(self.mcs - 1, 0), recorder, clock)
+        log.bytes_delivered += delivered
+        return clock + spent
 
     # -- the main loop -----------------------------------------------------------
 
@@ -396,18 +408,18 @@ class LiveSession:
             if (
                 self.pattern_learner is not None
                 and self.mcs > 0
-                and self.pattern_learner.should_prearm(clock, self.prearm_guard_s)
+                and self.pattern_learner.should_prearm(clock, PREARM_GUARD_S)
             ):
                 # Predicted break imminent: pre-drop the rate so the hit
                 # lands on a robust MCS instead of killing the whole frame.
-                self.mcs = max(0, self.mcs - self.prearm_mcs_drop)
+                self.mcs = max(0, self.mcs - PREARM_MCS_DROP)
                 self.prearms += 1
             payload, feedback = self._frame_outcome(clock)
             log.bytes_delivered += payload
             log.frame_times_s.append(clock)
             log.mcs.append(self.mcs)
             log.beam_pairs.append((self.tx_beam, self.rx_beam))
-            clock += self.frame_time_s
+            clock += FRAME_TIME_S
 
             fault_origin = ""
             if feedback is None:
@@ -445,16 +457,7 @@ class LiveSession:
                 action = decision.action
                 if action is Action.NA:
                     action = Action.RA  # ACK timeout forces the COTS default
-                log.actions.append((clock, action))
-                if action is Action.BA:
-                    clock += self._run_ba(log, recorder, clock)
-                    delivered, spent = self._run_ra(log, self.mcs, recorder, clock)
-                else:
-                    delivered, spent = self._run_ra(
-                        log, max(self.mcs - 1, 0), recorder, clock
-                    )
-                log.bytes_delivered += delivered
-                clock += spent
+                clock = self._execute(action, log, recorder, clock)
                 if recorder.enabled:
                     recorder.record(FaultEvent(
                         origin=fault_origin, kind="recovery", time_s=clock,
@@ -487,22 +490,12 @@ class LiveSession:
                 features=features,
                 ack_missing=False,
                 current_mcs=self.mcs,
-                current_mcs_working=self._is_working(self.mcs),
+                current_mcs_working=self._current_mcs_working(),
                 ba_overhead_s=self.ba_overhead_s,
             )
-            try:
-                decision = self.policy.decide(observation)
-            except Exception as error:  # isolation boundary: stay alive, degrade
-                # Counted before degrading; the fallback FaultEvent below
-                # then records *what* the session did about it.
-                get_metrics().counter("live.policy_decide_error").inc()
-                rule = self.policy.decide(observation.degraded())
-                decision = PolicyDecision(
-                    rule.action,
-                    f"policy error ({type(error).__name__}: {error}); "
-                    f"retried degraded: {rule.reason}",
-                    fallback=True,
-                )
+            decision = decide_or_degrade(
+                self.policy, observation, "live.policy_decide_error"
+            )
             if decision.fallback:
                 log.fallback_decisions += 1
                 if recorder.enabled:
@@ -512,16 +505,7 @@ class LiveSession:
                     ))
             if decision.action is Action.NA:
                 continue
-            log.actions.append((clock, decision.action))
-            if decision.action is Action.BA:
-                clock += self._run_ba(log, recorder, clock)
-                delivered, spent = self._run_ra(log, self.mcs, recorder, clock)
-            else:
-                delivered, spent = self._run_ra(
-                    log, max(self.mcs - 1, 0), recorder, clock
-                )
-            log.bytes_delivered += delivered
-            clock += spent
+            clock = self._execute(decision.action, log, recorder, clock)
             if decision.fallback and recorder.enabled:
                 recorder.record(FaultEvent(
                     origin="policy", kind="recovery", time_s=clock,

@@ -26,14 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.constants import (
-    DEAD_LINK_CDR,
-    WORKING_MCS_MIN_CDR,
-    WORKING_MCS_MIN_THROUGHPUT_MBPS,
-)
+from repro.constants import DEAD_LINK_CDR
 from repro.core.rate_adaptation import RepairLadder, repair_ladder, steady_rate_runs
 from repro.dataset.entry import DatasetEntry
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.phy.error_model import is_working
 from repro.testbed.traces import McsTraces
 
 TRAJECTORY_PAYLOAD_VERSION = 1
@@ -159,10 +156,7 @@ class EntryTrajectories:
         self.cdr_now = cdr_now
         self.tput_now = tput_now
         self.ack_missing = cdr_now < DEAD_LINK_CDR
-        self.working = (
-            cdr_now > WORKING_MCS_MIN_CDR
-            and tput_now > WORKING_MCS_MIN_THROUGHPUT_MBPS
-        )
+        self.working = is_working(cdr_now, tput_now)
         self.ladder_same = ladder_same
         self.ladder_best = ladder_best
         self._profiles: dict[tuple[str, int], SteadyProfile] = profiles or {}

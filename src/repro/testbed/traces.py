@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from repro.constants import X60_NUM_MCS
+from repro.phy.error_model import is_working
 
 METRIC_AGE_KEY = "metric_age_s"
 """`StateMeasurement.extra` key carrying how old the reported metrics are
@@ -34,8 +35,6 @@ def best_working_mcs(
     Shared by :class:`StateMeasurement` and the slimmer per-entry trace
     bundles the dataset stores.
     """
-    from repro.constants import WORKING_MCS_MIN_CDR, WORKING_MCS_MIN_THROUGHPUT_MBPS
-
     top = len(cdr) - 1 if max_mcs is None else max_mcs
     # Plain-float lists: indexing numpy scalars in this (hot) loop costs
     # more than the comparison work itself.
@@ -48,9 +47,7 @@ def best_working_mcs(
     best: Optional[int] = None
     best_tput = 0.0
     for mcs in range(top + 1):
-        if cdr_list[mcs] <= WORKING_MCS_MIN_CDR:
-            continue
-        if tput_list[mcs] <= WORKING_MCS_MIN_THROUGHPUT_MBPS:
+        if not is_working(cdr_list[mcs], tput_list[mcs]):
             continue
         if tput_list[mcs] > best_tput:
             best, best_tput = mcs, tput_list[mcs]

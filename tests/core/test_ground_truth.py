@@ -6,15 +6,15 @@ import pytest
 from repro.core.ground_truth import (
     Action,
     GroundTruthConfig,
-    first_working_descending,
     label_entry,
+    label_inputs,
     max_delay_s,
-    recovery_delay_ba_s,
-    recovery_delay_ra_s,
+    recovery_delays_s,
     th_ba,
     th_ra,
     utility,
 )
+from repro.core.rate_adaptation import first_working_descending
 from tests.conftest import make_traces
 
 
@@ -80,31 +80,34 @@ class TestThroughputDefinitions:
 class TestRecoveryDelays:
     config = GroundTruthConfig(ba_overhead_s=5e-3, frame_time_s=2e-3)
 
+    def delays(self, same, best, initial_mcs):
+        """``(RA-first, BA-first)`` delays of one entry."""
+        return recovery_delays_s(label_inputs(same, best, initial_mcs), self.config)
+
     def test_ra_delay_simple(self):
         same = make_traces([300, 450, 865])
         best = make_traces([300, 450, 865, 1300])
         # start at 4: probe 4 (dead), 3 (dead), 2 (works) = 3 frames.
-        delay = recovery_delay_ra_s(same, best, 4, self.config)
+        delay, _ = self.delays(same, best, 4)
         assert delay == pytest.approx(3 * 2e-3)
 
     def test_ra_fallback_through_ba(self):
         same = make_traces([])  # RA fails entirely
         best = make_traces([300, 450])
-        delay = recovery_delay_ra_s(same, best, 4, self.config)
+        delay, _ = self.delays(same, best, 4)
         # 5 failed frames + BA + 4 more frames (4, 3, 2 dead... wait: best
         # works at 1): probes 4, 3, 2, 1 → 4 frames.
         assert delay == pytest.approx(5 * 2e-3 + 5e-3 + 4 * 2e-3)
 
     def test_ba_delay(self):
         best = make_traces([300, 450, 865])
-        delay = recovery_delay_ba_s(best, 4, self.config)
+        _, delay = self.delays(make_traces([]), best, 4)
         assert delay == pytest.approx(5e-3 + 3 * 2e-3)
 
     def test_dead_link_saturates_at_dmax(self):
         dead = make_traces([])
-        assert recovery_delay_ba_s(dead, 8, self.config) == max_delay_s(self.config)
-        assert recovery_delay_ra_s(dead, dead, 8, self.config) == max_delay_s(
-            self.config
+        assert self.delays(dead, dead, 8) == (
+            max_delay_s(self.config), max_delay_s(self.config)
         )
 
 

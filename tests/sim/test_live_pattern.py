@@ -48,8 +48,7 @@ def run_periodic_session(forest, learner, duration=8.0, seed=0):
     link = X60Link(room, RadioPose(Point(0.5, 0.6), 0.0))
     session = LiveSession(
         link, LiBRA(forest), RadioPose(Point(10.0, 0.6), 180.0),
-        seed=seed, pattern_learner=learner, prearm_guard_s=0.12,
-        prearm_mcs_drop=4,
+        seed=seed, pattern_learner=learner,
     )
     log = session.run(duration, periodic_obstruction_events(duration))
     return session, log

@@ -6,7 +6,8 @@ The §8 replay rests on three point-independent skeletons that must be
 * :func:`repair_ladder` (behind :meth:`RateAdaptation.repair`) vs the
   hand-derived RA scan,
 * :func:`steady_rate_runs` (prefix + cycle) vs :meth:`RateAdaptation.frames`,
-* :func:`label_from_inputs` vs :func:`label_entry`.
+* :func:`label_from_inputs` vs the pinned labels and delays in
+  ``tests/core/label_goldens.json``.
 
 Plus the cache machinery itself: content-addressed fingerprints, exact
 payload round trips, and hit/miss/loaded accounting.
@@ -15,12 +16,7 @@ payload round trips, and hit/miss/loaded accounting.
 import numpy as np
 import pytest
 
-from repro.core.ground_truth import (
-    GroundTruthConfig,
-    label_entry,
-    label_from_inputs,
-    label_inputs,
-)
+from repro.core.ground_truth import GroundTruthConfig
 from repro.core.rate_adaptation import (
     RateAdaptation,
     repair_ladder,
@@ -34,6 +30,7 @@ from repro.sim.trajectory import (
     entry_fingerprint,
 )
 from tests.conftest import make_entry, make_traces
+from tests.core import test_label_goldens as label_goldens
 
 # Trace shapes that exercise every steady-state regime: a rising ladder
 # (probes succeed), a cliff (probes fail, backoff grows), a plateau
@@ -130,24 +127,17 @@ class TestRepairLadder:
 
 
 class TestLabelFromInputs:
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, 1.0])
-    @pytest.mark.parametrize("ba_overhead_s", [0.5e-3, 5e-3, 250e-3])
-    @pytest.mark.parametrize("frame_time_s", [2e-3, 10e-3])
+    @pytest.mark.parametrize("alpha", label_goldens.ALPHAS)
+    @pytest.mark.parametrize("ba_overhead_s", label_goldens.BA_OVERHEADS_S)
+    @pytest.mark.parametrize("frame_time_s", label_goldens.FRAME_TIMES_S)
     def test_matches_label_entry(self, alpha, ba_overhead_s, frame_time_s):
+        """Labels and delays match the goldens, which the trace-walking
+        ``label_entry`` path produced when they were captured."""
         config = GroundTruthConfig(
             alpha=alpha, ba_overhead_s=ba_overhead_s, frame_time_s=frame_time_s
         )
-        cases = [
-            (make_traces([300, 450, 865, 0, 0]), make_traces([300, 450, 865, 1300]), 4),
-            (make_traces([300, 450, 0, 0]), make_traces([300, 450, 865]), 3),
-            (make_traces([]), make_traces([300, 450]), 4),  # RA scan fails
-            (make_traces([]), make_traces([]), 4),          # both fail
-        ]
-        for same, best, initial_mcs in cases:
-            inputs = label_inputs(same, best, initial_mcs)
-            assert label_from_inputs(inputs, config) == label_entry(
-                same, best, initial_mcs, config
-            )
+        key = label_goldens.point_key(alpha, ba_overhead_s, frame_time_s)
+        assert label_goldens.label_records(config) == label_goldens.load_goldens()[key]
 
 
 class TestFingerprint:

@@ -15,9 +15,9 @@ from repro.core.ground_truth import (
     Action,
     GroundTruthConfig,
     label_entry,
+    label_inputs,
     max_delay_s,
-    recovery_delay_ba_s,
-    recovery_delay_ra_s,
+    recovery_delays_s,
     utility,
 )
 from repro.core.rate_adaptation import RateAdaptation
@@ -70,8 +70,9 @@ class TestGroundTruthProperties:
     @settings(max_examples=60, deadline=None)
     def test_delays_bounded_by_dmax(self, same, best, mcs, config):
         d_max = max_delay_s(config)
-        assert 0.0 <= recovery_delay_ba_s(best, mcs, config) <= d_max + 1e-12
-        assert 0.0 <= recovery_delay_ra_s(same, best, mcs, config) <= d_max + 1e-12
+        delay_ra, delay_ba = recovery_delays_s(label_inputs(same, best, mcs), config)
+        assert 0.0 <= delay_ba <= d_max + 1e-12
+        assert 0.0 <= delay_ra <= d_max + 1e-12
 
     @given(
         st.floats(min_value=0.0, max_value=4750.0),
@@ -87,9 +88,8 @@ class TestGroundTruthProperties:
     def test_ba_delay_grows_with_overhead(self, best, mcs):
         small = GroundTruthConfig(ba_overhead_s=0.5e-3)
         large = GroundTruthConfig(ba_overhead_s=250e-3)
-        assert recovery_delay_ba_s(best, mcs, small) <= recovery_delay_ba_s(
-            best, mcs, large
-        )
+        inputs = label_inputs(best, best, mcs)  # the BA delay reads only the best pair
+        assert recovery_delays_s(inputs, small)[1] <= recovery_delays_s(inputs, large)[1]
 
 
 # -- rate adaptation ---------------------------------------------------------
