@@ -8,6 +8,8 @@ so successive PRs can compare against a recorded baseline:
   placement plans (ray tracing, sector sweeps, per-MCS trace capture);
 * ``rf_fit``       — fitting the paper's random forest on the campaign;
 * ``rf_predict``   — batch inference over a replicated feature matrix;
+* ``rf_predict_1row`` — the median of 200 single-row ``predict_proba``
+  calls, the per-decision cost of LiBRA's live loop;
 * ``grid_point``   — one §8 evaluation-grid operating point end to end.
 
 Run it as a script (``PYTHONPATH=src python benchmarks/bench_perf_hotpaths.py``).
@@ -78,6 +80,13 @@ def run_benchmarks(scale: str, repeats: int, workers: int) -> dict:
     X_big = np.tile(X, (reps, 1))[:predict_rows]
     rf_predict_s, _ = _best_of(repeats, lambda: model.predict_proba(X_big))
 
+    one_row_s = []
+    for row in np.resize(np.arange(len(X)), 200):
+        start = time.perf_counter()
+        model.predict_proba(X[row : row + 1])
+        one_row_s.append(time.perf_counter() - start)
+    rf_predict_1row_s = float(np.median(one_row_s))
+
     grid = EvaluationGrid(
         dataset, dataset.without_na(), n_estimators=grid_trees, max_depth=10,
         random_state=0,
@@ -99,6 +108,7 @@ def run_benchmarks(scale: str, repeats: int, workers: int) -> dict:
             "dataset_build": dataset_build_s,
             "rf_fit": rf_fit_s,
             "rf_predict": rf_predict_s,
+            "rf_predict_1row": rf_predict_1row_s,
             "grid_point": grid_point_s,
         },
     }

@@ -57,32 +57,29 @@ class LiBRA(LinkAdaptationPolicy):
         which is precisely the situation that rule covers — instead of
         crashing the controller or acting on poisoned inputs.
         """
-        if observation.ack_missing:
-            return self._missing_ack_rule(observation)
-        rejection = self._feature_rejection(observation)
-        if rejection is not None:
-            return self._degrade(observation, f"features rejected ({rejection})")
-        try:
-            prediction = self.model.predict(
-                observation.features.to_array().reshape(1, -1)
-            )[0]
-        except Exception as error:  # isolation boundary: any model failure degrades
-            get_metrics().counter("libra.model_error").inc()
-            return self._degrade(
-                observation, f"model error ({type(error).__name__}: {error})"
-            )
-        return self._prediction_decision(prediction, observation)
+        return self._decide_rows([observation], stacked=False)[0]
 
     def decide_batch(self, observations: list[Observation]) -> list[PolicyDecision]:
         """Batched selectAction(): one forest call for a whole entry list.
 
-        The missing-ACK rule and feature sanitization stay per-observation;
-        every accepted feature row joins a single ``model.predict`` call
-        (forest inference routes rows independently, so the stacked call
-        returns exactly the per-row labels).  A model that errors — or one
-        that returns the wrong number of labels — drops back to per-row
-        :meth:`decide`, reproducing the scalar degradation path message
-        for message.  Decisions come back in observation order.
+        Forest inference routes rows independently, so the stacked call
+        returns exactly the per-row labels.  A model that errors — or one
+        that returns the wrong number of labels — is retried row by row,
+        reproducing :meth:`decide`'s degradation message for message.
+        Decisions come back in observation order.
+        """
+        return self._decide_rows(observations, stacked=True)
+
+    def _decide_rows(
+        self, observations: list[Observation], stacked: bool
+    ) -> list[PolicyDecision]:
+        """The one decision path behind :meth:`decide` and :meth:`decide_batch`.
+
+        The missing-ACK rule and feature screening stay per-observation;
+        every accepted feature row joins one ``model.predict`` call.  When
+        that call fails, a ``stacked`` call counts ``libra.batch_predict_error``
+        and retries each row alone; a single-row call counts
+        ``libra.model_error`` and degrades.
         """
         decisions: list[Optional[PolicyDecision]] = [None] * len(observations)
         rows: list[np.ndarray] = []
@@ -99,29 +96,40 @@ class LiBRA(LinkAdaptationPolicy):
                 continue
             rows.append(observation.features.to_array())
             where.append(index)
-        if rows:
-            try:
-                predictions = self.model.predict(np.stack(rows))
-                if len(predictions) != len(where):
-                    raise ValueError("prediction count mismatch")
-            except Exception:  # isolation boundary: replay the scalar degradation
-                # The per-row decide() calls below count each model error;
-                # this counter marks that the *batched* call was the one
-                # that failed (a shape/stacking bug, not a model bug).
+        if not rows:
+            return decisions
+        try:
+            predictions = self.model.predict(np.stack(rows))
+            if stacked and len(predictions) != len(rows):
+                raise ValueError("prediction count mismatch")
+            # A single row reads only label 0; an empty answer raises here.
+            labels = [predictions[i] for i in range(len(rows))]
+        except Exception as error:  # isolation boundary: any model failure degrades
+            if stacked:
+                # Marks that the *batched* call failed (a shape/stacking
+                # bug, not a model bug); each row's retry counts its own
+                # model error.
                 get_metrics().counter("libra.batch_predict_error").inc()
                 for index in where:
-                    decisions[index] = self.decide(observations[index])
-            else:
-                for index, prediction in zip(where, predictions):
-                    decisions[index] = self._prediction_decision(
-                        prediction, observations[index]
-                    )
+                    decisions[index] = self._decide_rows(
+                        [observations[index]], stacked=False
+                    )[0]
+                return decisions
+            get_metrics().counter("libra.model_error").inc()
+            return [
+                self._degrade(
+                    observations[0],
+                    f"model error ({type(error).__name__}: {error})",
+                )
+            ]
+        for index, label in zip(where, labels):
+            decisions[index] = self._prediction_decision(label, observations[index])
         return decisions
 
     def _prediction_decision(
         self, prediction, observation: Observation
     ) -> PolicyDecision:
-        """Map one model label to the decision (shared scalar/batch tail)."""
+        """Map one model label to the decision."""
         try:
             action = Action(str(prediction))
         except ValueError:

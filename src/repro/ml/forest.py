@@ -9,6 +9,12 @@ tree's (seed, bootstrap indices) pair is drawn **sequentially** from the
 master RNG first — the exact draw order the sequential implementation
 used — and only the fits fan out, so the forest is byte-identical at
 every worker count.
+
+Inference walks one fused :class:`~repro.ml.tree.NodeTable` holding every
+tree's nodes, built whenever ``trees_`` is assigned.  Every (row, tree)
+pair advances one level per step for the deepest tree's depth, and the
+leaf distributions are summed tree by tree, in tree order, so one row and
+five thousand rows take the same code path and the same arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.ml.base import Estimator, check_Xy
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, NodeTable, leaf_distributions
 from repro.obs.metrics import get_metrics
 from repro.runtime import parallel_map
 
@@ -30,6 +36,32 @@ def _fit_tree(item, metrics, recorder, *, X, y, params) -> DecisionTreeClassifie
     tree = DecisionTreeClassifier(random_state=seed, **params)
     tree.fit(X[indices], y[indices])
     return tree
+
+
+def fuse_trees(trees: list[DecisionTreeClassifier], classes: np.ndarray) -> NodeTable:
+    """Concatenate the trees' node tables into one forest table.
+
+    Each tree's distribution columns move to the forest's ``classes``; a
+    class the tree's bootstrap sample missed reads 0 at every node.
+    """
+    class_index = {c: i for i, c in enumerate(classes)}
+    tables = [tree.node_table() for tree in trees]
+    roots = np.cumsum([0] + [len(table.feat) for table in tables[:-1]])
+    proba = np.zeros((roots[-1] + len(tables[-1].feat), len(classes)))
+    for tree, table, root in zip(trees, tables, roots):
+        columns = [class_index[c] for c in tree.classes_]
+        proba[root : root + len(table.feat), columns] = table.proba
+    return NodeTable(
+        feat=np.concatenate([table.feat for table in tables]),
+        thr=np.concatenate([table.thr for table in tables]),
+        children=np.concatenate(
+            [table.children + root for table, root in zip(tables, roots)]
+        ),
+        proba=proba,
+        roots=roots.astype(np.intp),
+        depth=max(table.depth for table in tables),
+        n_features=max(table.n_features for table in tables),
+    )
 
 
 class RandomForestClassifier(Estimator):
@@ -68,9 +100,21 @@ class RandomForestClassifier(Estimator):
         self.bootstrap = bootstrap
         self.random_state = random_state
         self.n_jobs = n_jobs
-        self.trees_: Optional[list[DecisionTreeClassifier]] = None
         self.classes_: Optional[np.ndarray] = None
+        self.trees_ = None
         self.feature_importances_: Optional[np.ndarray] = None
+
+    @property
+    def trees_(self) -> Optional[list[DecisionTreeClassifier]]:
+        return self._trees
+
+    @trees_.setter
+    def trees_(self, trees: Optional[list[DecisionTreeClassifier]]) -> None:
+        # Every assignment rebuilds the fused table (against the current
+        # ``classes_``), so a refit or a loaded forest never routes rows
+        # through a stale one.
+        self._trees = trees
+        self._table = None if trees is None else fuse_trees(trees, self.classes_)
 
     def fit(self, X, y) -> "RandomForestClassifier":
         with get_metrics().span("ml.forest.fit"):
@@ -122,13 +166,11 @@ class RandomForestClassifier(Estimator):
     def _predict_proba(self, X) -> np.ndarray:
         self._require_fitted("trees_")
         X, _ = check_Xy(X)
-        out = np.zeros((X.shape[0], len(self.classes_)))
-        class_index = {c: i for i, c in enumerate(self.classes_)}
-        for tree in self.trees_:
-            proba = tree.predict_proba(X)
-            for j, cls in enumerate(tree.classes_):
-                out[:, class_index[cls]] += proba[:, j]
-        out /= len(self.trees_)
+        leaves = leaf_distributions(self._table, X)
+        out = np.zeros(leaves.shape[1:])
+        for leaf in leaves:  # tree order; a sum over axis 0 may go pairwise
+            out += leaf
+        out /= len(leaves)
         return out
 
     def predict(self, X) -> np.ndarray:

@@ -96,6 +96,8 @@ def forest_from_dict(record: dict) -> RandomForestClassifier:
     forest = RandomForestClassifier(n_estimators=max(1, len(record["trees"])))
     forest.classes_ = np.array(record["classes"])
     forest.feature_importances_ = np.array(record["importances"])
+    # Assigning ``trees_`` builds the fused inference table against
+    # ``classes_``, so the classes must be in place first.
     forest.trees_ = [tree_from_dict(t) for t in record["trees"]]
     forest.n_estimators = len(forest.trees_)
     return forest

@@ -68,6 +68,87 @@ def _entropy(counts: np.ndarray) -> float:
 _IMPURITIES = {"gini": _gini, "entropy": _entropy}
 
 
+@dataclass(frozen=True)
+class NodeTable:
+    """Flat routing arrays of one or more trees, concatenated.
+
+    Node ``i`` sends a row to ``children[i, 1]`` when
+    ``x[feat[i]] <= thr[i]`` and to ``children[i, 0]`` otherwise (NaN
+    included), so the boolean test itself indexes the child.  A leaf
+    routes to itself on both sides and stores ``feat == 0`` so its gather
+    stays in bounds; a walk can therefore take a fixed ``depth`` steps
+    without dropping the rows that already reached a leaf.  ``proba[i]``
+    is node ``i``'s class distribution, ``roots[t]`` the node where tree
+    ``t`` starts, ``depth`` the deepest tree's depth and ``n_features``
+    the number of feature columns the walk reads.
+    """
+
+    feat: np.ndarray
+    thr: np.ndarray
+    children: np.ndarray
+    proba: np.ndarray
+    roots: np.ndarray
+    depth: int
+    n_features: int
+
+
+def flatten_tree(root: _Node) -> NodeTable:
+    """One tree's :class:`NodeTable`, nodes in breadth-first order."""
+    nodes: list[_Node] = [root]
+    depths = [0]
+    feat: list[int] = []
+    thr: list[float] = []
+    children: list[tuple[int, int]] = []
+    for i, node in enumerate(nodes):  # ``nodes`` grows while we walk it
+        if node.is_leaf:
+            feat.append(0)
+            thr.append(0.0)
+            children.append((i, i))
+        else:
+            feat.append(node.feature)
+            thr.append(node.threshold)
+            children.append((len(nodes) + 1, len(nodes)))  # (right, left)
+            nodes += (node.left, node.right)
+            depths += (depths[i] + 1,) * 2
+    counts = np.array([node.class_counts for node in nodes])
+    # An empty child (possible when a midpoint threshold collides with the
+    # next value) has an all-zero histogram and gets a NaN row.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        proba = counts / counts.sum(axis=1, keepdims=True)
+    return NodeTable(
+        feat=np.array(feat, dtype=np.intp),
+        thr=np.array(thr, dtype=float),
+        children=np.array(children, dtype=np.intp),
+        proba=proba,
+        roots=np.zeros(1, dtype=np.intp),
+        depth=max(depths),
+        n_features=max(feat) + 1,
+    )
+
+
+def leaf_distributions(table: NodeTable, X: np.ndarray) -> np.ndarray:
+    """The leaf class distribution of every (tree, row) pair.
+
+    Returns ``(trees, rows, classes)``.  All pairs advance together, one
+    level per step, for exactly ``table.depth`` steps.
+    """
+    n_rows, n_features = X.shape
+    if n_features < table.n_features:
+        raise ValueError(
+            f"X has {n_features} features but the trees read "
+            f"{table.n_features}"
+        )
+    flat = X.ravel()
+    children = table.children.ravel()
+    n_trees = len(table.roots)
+    row_start = np.tile(np.arange(n_rows) * n_features, n_trees)
+    node = np.repeat(table.roots, n_rows)
+    for _ in range(table.depth):
+        go_left = flat[row_start + table.feat[node]] <= table.thr[node]
+        node = children[2 * node + go_left]
+    return table.proba[node].reshape(n_trees, n_rows, -1)
+
+
 class DecisionTreeClassifier(Estimator):
     """CART classifier.
 
@@ -109,7 +190,7 @@ class DecisionTreeClassifier(Estimator):
         self.root_: Optional[_Node] = None
         self.feature_importances_: Optional[np.ndarray] = None
         self._n_features = 0
-        self._flat: Optional[tuple] = None
+        self._table: Optional[NodeTable] = None
 
     # -- fitting -----------------------------------------------------------
 
@@ -124,7 +205,7 @@ class DecisionTreeClassifier(Estimator):
         self._impurity = _IMPURITIES[self.criterion]
         self._rng = np.random.default_rng(self.random_state)
         self._importance_raw = np.zeros(self._n_features)
-        self._flat = None
+        self._table = None
         self._y = y_encoded
         self._n_total = X.shape[0]
         self._n_classes = len(self.classes_)
@@ -265,77 +346,18 @@ class DecisionTreeClassifier(Estimator):
     def _predict_proba(self, X) -> np.ndarray:
         self._require_fitted("root_")
         X, _ = check_Xy(X)
-        feat, thr, left, right, proba = self._flat_arrays()
-        node_idx = np.zeros(X.shape[0], dtype=np.intp)
-        # Level-synchronous routing: every still-undecided row advances one
-        # tree level per iteration instead of a Python walk per row.
-        while True:
-            f = feat[node_idx]
-            active = np.nonzero(f >= 0)[0]
-            if active.size == 0:
-                break
-            at = node_idx[active]
-            go_left = X[active, f[active]] <= thr[at]
-            node_idx[active] = np.where(go_left, left[at], right[at])
-        return proba[node_idx]
+        return leaf_distributions(self.node_table(), X)[0]
 
-    def _flat_arrays(self) -> tuple:
-        """Flatten the node tree into routing arrays (cached per fit)."""
-        if self._flat is None:
-            nodes: list[_Node] = [self.root_]
-            feat: list[int] = []
-            thr: list[float] = []
-            left: list[int] = []
-            right: list[int] = []
-            i = 0
-            while i < len(nodes):
-                node = nodes[i]
-                if node.is_leaf:
-                    feat.append(-1)
-                    thr.append(0.0)
-                    left.append(i)
-                    right.append(i)
-                else:
-                    feat.append(node.feature)
-                    thr.append(node.threshold)
-                    left.append(len(nodes))
-                    nodes.append(node.left)
-                    right.append(len(nodes))
-                    nodes.append(node.right)
-                i += 1
-            proba = np.empty((len(nodes), len(self.classes_)))
-            # An empty child (possible when a midpoint threshold collides
-            # with the next value) has an all-zero histogram; dividing
-            # yields the same NaN row the per-row walk would produce.
-            with np.errstate(invalid="ignore", divide="ignore"):
-                for idx, node in enumerate(nodes):
-                    proba[idx] = node.class_counts / node.class_counts.sum()
-            self._flat = (
-                np.array(feat, dtype=np.intp),
-                np.array(thr, dtype=float),
-                np.array(left, dtype=np.intp),
-                np.array(right, dtype=np.intp),
-                proba,
-            )
-        return self._flat
+    def node_table(self) -> NodeTable:
+        """This tree's routing table (cached per fit)."""
+        self._require_fitted("root_")
+        if self._table is None:
+            self._table = flatten_tree(self.root_)
+        return self._table
 
     def depth(self) -> int:
         """Actual depth of the grown tree (0 for a stump/leaf-only tree)."""
-        self._require_fitted("root_")
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root_)
+        return self.node_table().depth
 
     def node_count(self) -> int:
-        self._require_fitted("root_")
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return 1 + walk(node.left) + walk(node.right)
-
-        return walk(self.root_)
+        return len(self.node_table().feat)

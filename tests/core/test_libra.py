@@ -8,6 +8,8 @@ from repro.core.ground_truth import Action
 from repro.core.libra import LiBRA, ThresholdClassifier
 from repro.core.metrics import TOF_INF_SENTINEL_NS, FeatureVector
 from repro.core.policies import Observation
+from repro.faults import ClassifierFault, FaultPlan, FaultyClassifier
+from repro.obs.metrics import MetricsRegistry, use_metrics
 
 
 class ConstantModel:
@@ -88,6 +90,124 @@ class TestHardening:
     def test_clean_path_is_not_fallback(self):
         decision = LiBRA(ConstantModel("NA")).decide(obs())
         assert not decision.fallback
+
+
+class StackedRaisingModel(ConstantModel):
+    """Answers single rows but raises on stacked ones."""
+
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        if len(features) > 1:
+            self.seen.append(np.array(features))
+            raise ValueError("cannot stack")
+        return super().predict(features)
+
+
+def mixed_batch() -> list[Observation]:
+    """Two classifiable rows around a missing ACK and a rejected row."""
+    rejected = FeatureVector(3.0, -2.0, 0.5, 0.9, 0.8, 37.5, 4)
+    return [
+        obs(mcs=4),
+        obs(ack_missing=True, mcs=7, ba_overhead=0.25),
+        Observation(rejected, False, 4, True, 5e-3),
+        obs(mcs=7, ba_overhead=0.25),
+    ]
+
+
+def run_batch(policy: LiBRA, observations: list[Observation]):
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        decisions = policy.decide_batch(observations)
+    counts = {
+        name: registry.counter(f"libra.{name}").value
+        for name in ("batch_predict_error", "model_error")
+    }
+    return decisions, counts
+
+
+class TestDecideBatch:
+    """The batched path: one stacked predict, per-row retry on failure."""
+
+    def test_one_stacked_call_matches_per_row_decide(self):
+        model = ConstantModel("NA")
+        decisions, counts = run_batch(LiBRA(model), mixed_batch())
+        assert [m.shape for m in model.seen] == [(2, 7)]
+        assert counts == {"batch_predict_error": 0, "model_error": 0}
+        single = [LiBRA(ConstantModel("NA")).decide(o) for o in mixed_batch()]
+        assert decisions == single
+
+    def test_stacked_failure_retries_row_by_row(self):
+        model = StackedRaisingModel("RA")
+        decisions, counts = run_batch(LiBRA(model), mixed_batch())
+        assert [m.shape for m in model.seen] == [(2, 7), (1, 7), (1, 7)]
+        assert counts == {"batch_predict_error": 1, "model_error": 0}
+        assert [d.action for d in decisions] == [
+            Action.RA, Action.RA, Action.BA, Action.RA,
+        ]
+        assert [d.fallback for d in decisions] == [False, False, True, False]
+        assert decisions[0].reason == "model: rate adaptation suffices"
+        assert decisions[1].reason == "missing ACK, expensive sweep: RA first"
+        assert decisions[2].reason.startswith("features rejected (CDR feature")
+
+    def test_wrong_label_count_retries_row_by_row(self):
+        class OneLabelModel(ConstantModel):
+            def predict(self, features):
+                self.seen.append(np.array(features))
+                return np.array([self.label])
+
+        model = OneLabelModel("BA")
+        decisions, counts = run_batch(LiBRA(model), mixed_batch())
+        assert [m.shape for m in model.seen] == [(2, 7), (1, 7), (1, 7)]
+        assert counts == {"batch_predict_error": 1, "model_error": 0}
+        assert decisions[0].action is decisions[3].action is Action.BA
+
+    def test_every_row_failing_counts_each_model_error(self):
+        decisions, counts = run_batch(
+            LiBRA(TestHardening.RaisingModel()), mixed_batch()
+        )
+        assert counts == {"batch_predict_error": 1, "model_error": 2}
+        for index in (0, 3):
+            assert decisions[index].fallback
+            assert decisions[index].reason.startswith(
+                "model error (RuntimeError: model artifact corrupted); "
+                "missing-ACK rule: "
+            )
+        assert decisions[0].action is Action.BA  # MCS 4
+        assert decisions[3].action is Action.RA  # MCS 7, expensive sweep
+
+    @pytest.mark.parametrize("raise_fraction,draws", [(1.0, 3), (0.0, 1)])
+    def test_faulty_classifier_draw_order(self, raise_fraction, draws):
+        """A raising stacked call draws once, then once per retried row;
+        garbage answers every row from one draw."""
+        fault = ClassifierFault(probability=1.0, raise_fraction=raise_fraction)
+        plan = FaultPlan(seed=5, classifier_fault=fault)
+        policy = LiBRA(FaultyClassifier(ThresholdClassifier(), plan))
+        decisions, counts = run_batch(policy, mixed_batch())
+        reference = np.random.default_rng(5)
+        reference.random(2 * draws)  # two draws per fires() call
+        assert plan.rng.random() == reference.random()
+        assert plan.log.count("classifier_fault") == draws
+        if raise_fraction == 1.0:
+            assert counts == {"batch_predict_error": 1, "model_error": 2}
+            prefix = "model error (RuntimeError: injected classifier fault)"
+        else:
+            assert counts == {"batch_predict_error": 0, "model_error": 0}
+            prefix = "unknown model label"
+        for index in (0, 3):
+            assert decisions[index].fallback
+            assert decisions[index].reason.startswith(prefix)
+
+    def test_single_observation_is_one_call(self):
+        model = StackedRaisingModel("NA")
+        decisions, counts = run_batch(LiBRA(model), [obs()])
+        assert [m.shape for m in model.seen] == [(1, 7)]
+        assert counts == {"batch_predict_error": 0, "model_error": 0}
+        assert decisions[0].action is Action.NA
+
+    def test_no_classifiable_rows_skip_the_model(self):
+        model = ConstantModel("RA")
+        decisions, _ = run_batch(LiBRA(model), [obs(ack_missing=True)])
+        assert model.seen == []
+        assert decisions[0].reason.startswith("missing ACK")
 
 
 class TestMissingAckRule:

@@ -98,3 +98,13 @@ class TestValidation:
             n_estimators=5, bootstrap=False, random_state=0
         ).fit(X, y)
         assert forest.score(X, y) > 0.9
+
+    def test_too_few_features_rejected(self):
+        # The fused walk gathers from the flattened rows: a narrower X must
+        # raise, not read a neighbouring row's value.
+        X, y = moons_like(100)
+        forest = RandomForestClassifier(n_estimators=5, random_state=0).fit(X, y)
+        with pytest.raises(ValueError, match="features"):
+            forest.predict(X[:, :1])
+        with pytest.raises(ValueError, match="features"):
+            forest.trees_[0].predict(X[:, :1])

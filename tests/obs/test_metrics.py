@@ -146,10 +146,15 @@ class TestGlobalRegistry:
         assert get_metrics() is NULL_METRICS
 
     def test_ml_fit_predict_record_spans(self, trained_forest, main_dataset):
+        rows = main_dataset.feature_matrix()[:5]
         registry = MetricsRegistry()
         with use_metrics(registry):
-            trained_forest.predict(main_dataset.feature_matrix()[:5])
+            trained_forest.predict(rows)
+        # One fused walk over every tree: a forest-level span only.
         assert registry.histogram("ml.forest.predict").count == 1
-        assert registry.histogram("ml.tree.predict").count == len(
-            trained_forest.trees_
-        )
+        assert registry.histogram("ml.tree.predict").count == 0
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            trained_forest.trees_[0].predict(rows)
+        assert registry.histogram("ml.tree.predict").count == 1
+        assert registry.histogram("ml.forest.predict").count == 0
