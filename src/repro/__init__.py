@@ -29,7 +29,6 @@ from repro.core import (
     LinkAdaptationPolicy,
     RAFirstPolicy,
     RateAdaptation,
-    BeamAdaptation,
     X60_MCS_SET,
     AD_MCS_SET,
     compute_features,
@@ -76,7 +75,6 @@ __all__ = [
     "LinkAdaptationPolicy",
     "RAFirstPolicy",
     "RateAdaptation",
-    "BeamAdaptation",
     "X60_MCS_SET",
     "AD_MCS_SET",
     "compute_features",

@@ -21,11 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, Optional
 
-from repro.analysis.lint.findings import (
-    SEVERITY_ERROR,
-    SEVERITY_WARNING,
-    Finding,
-)
+from repro.analysis.lint.findings import SEVERITY_ERROR, Finding
 from repro.analysis.lint.policy import LintPolicy
 from repro.analysis.lint.suppressions import NOQA_RULE_ID
 

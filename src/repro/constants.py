@@ -2,8 +2,8 @@
 
 Numbers come from three sources:
 
-* the LiBRA paper itself (CoNEXT 2020), e.g. the X60 TDMA frame layout and
-  the evaluation's BA-overhead / frame-aggregation-time grid;
+* the LiBRA paper itself (CoNEXT 2020), e.g. the evaluation's
+  BA-overhead / frame-aggregation-time grid;
 * the X60 testbed paper (Saha et al., *Computer Communications* 2019) for the
   PHY rate table and phased-array geometry;
 * the IEEE 802.11ad standard for the COTS single-carrier MCS table used by
@@ -22,14 +22,8 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 CARRIER_FREQUENCY_HZ = 60.48e9
 """802.11ad channel 2 centre frequency (Hz)."""
 
-WAVELENGTH_M = SPEED_OF_LIGHT_M_S / CARRIER_FREQUENCY_HZ
-"""Carrier wavelength (~5 mm)."""
-
 CHANNEL_BANDWIDTH_HZ = 2.0e9
 """X60 and 802.11ad both use ~2 GHz wide channels."""
-
-BOLTZMANN_J_PER_K = 1.380649e-23
-TEMPERATURE_K = 290.0
 
 import math as _math
 
@@ -50,22 +44,11 @@ included for fidelity."""
 X60_NUM_BEAMS = 25
 """SiBeam codebook size: 25 steerable patterns spanning -60°..60°."""
 
-X60_BEAM_SPACING_DEG = 5.0
-"""Beams are spaced roughly 5° apart in their main lobe."""
-
 X60_BEAM_MIN_ANGLE_DEG = -60.0
 X60_BEAM_MAX_ANGLE_DEG = 60.0
 
 X60_BEAMWIDTH_3DB_DEG = 30.0
 """3 dB beamwidth of each pattern (paper: 25°-35°; we use the midpoint)."""
-
-X60_FRAME_DURATION_S = 10e-3
-"""X60 TDMA frame: 10 ms."""
-
-X60_SLOTS_PER_FRAME = 100
-X60_SLOT_DURATION_S = 100e-6
-X60_CODEWORDS_PER_SLOT = 92
-X60_CODEWORDS_PER_FRAME = X60_SLOTS_PER_FRAME * X60_CODEWORDS_PER_SLOT
 
 X60_NUM_MCS = 9
 """The X60 PHY reference implementation supports 9 single-carrier MCSs."""
@@ -94,9 +77,6 @@ X60_MCS_SNR_THRESHOLDS_DB = (2.0, 4.0, 6.5, 9.0, 12.0, 15.0, 17.0, 19.5, 22.0)
 # 802.11ad (COTS devices in §3 and the VR study in §8.4)
 # --------------------------------------------------------------------------
 
-AD_NUM_SC_MCS = 12
-"""802.11ad defines MCS 1-12 for SC-PHY data frames (385-4620 Mbps)."""
-
 # (mcs index, modulation, code rate, PHY rate Mbps)
 AD_MCS_TABLE = (
     (1, "BPSK", 0.50, 385.0),
@@ -115,9 +95,6 @@ AD_MCS_TABLE = (
 
 AD_MCS_SNR_THRESHOLDS_DB = (1.0, 3.0, 4.5, 5.5, 6.5, 7.5, 9.5, 11.0, 12.5, 15.0, 17.5, 19.5)
 """Decode thresholds for the 12 SC MCSs (textbook 802.11ad link budgets)."""
-
-AD_MAX_FRAME_DURATION_S = 2e-3
-"""Maximum 802.11ad frame (AMPDU) duration."""
 
 AD_COTS_PEAK_THROUGHPUT_MBPS = 2400.0
 """What COTS 802.11ad devices actually achieve right in front of the AP
@@ -163,18 +140,12 @@ PROBE_INTERVAL_MIN_FRAMES = 5
 PROBE_BACKOFF_CAP = 2 ** 5
 """Adaptive probe interval T = T0 · min(2^k, 2^5) (§7)."""
 
-OBSERVATION_WINDOW_S = 20e-3
-"""LiBRA makes decisions every 2 frames using two 20 ms windows (§7)."""
-
 DECISION_PERIOD_FRAMES = 2
+"""LiBRA makes decisions every 2 frames using two 20 ms windows (§7)."""
 
 # --------------------------------------------------------------------------
 # Dataset collection (paper §4.2, §5.1)
 # --------------------------------------------------------------------------
-
-SLS_BEAM_PAIRS = X60_NUM_BEAMS * X60_NUM_BEAMS  # 625
-TRACE_DURATION_S = 1.0
-"""Each state logs three 1 s PHY traces per MCS; we use 1 s averages."""
 
 INTERFERENCE_DROP_LEVELS = {"high": 0.80, "medium": 0.50, "low": 0.20}
 """Interferer calibration: throughput drop targets for the 3 levels (§4.2)."""

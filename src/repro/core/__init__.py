@@ -14,7 +14,6 @@ from repro.core.ground_truth import (
     label_entry,
 )
 from repro.core.rate_adaptation import RateAdaptation, RAResult
-from repro.core.beam_adaptation import BeamAdaptation, SweepKind, ba_overhead_s
 from repro.core.policies import (
     LinkAdaptationPolicy,
     RAFirstPolicy,
@@ -28,7 +27,6 @@ from repro.core.observation import (
     WindowSnapshot,
     features_between,
 )
-from repro.core.snr_rate_adaptation import SnrMappedRateAdaptation
 from repro.core.history import BlockagePatternLearner
 
 __all__ = [
@@ -49,9 +47,6 @@ __all__ = [
     "label_entry",
     "RateAdaptation",
     "RAResult",
-    "BeamAdaptation",
-    "SweepKind",
-    "ba_overhead_s",
     "LinkAdaptationPolicy",
     "RAFirstPolicy",
     "BAFirstPolicy",
@@ -61,6 +56,5 @@ __all__ = [
     "MetricWindow",
     "WindowSnapshot",
     "features_between",
-    "SnrMappedRateAdaptation",
     "BlockagePatternLearner",
 ]

@@ -10,10 +10,8 @@ from repro.env.rooms import (
     make_corridor,
     make_building1_corridor,
     make_building2_open_area,
-    main_building_rooms,
-    testing_building_rooms,
 )
-from repro.env.placement import PlacementPlan, displacement_plan_for_room
+from repro.env.placement import PlacementPlan
 
 __all__ = [
     "Point",
@@ -27,8 +25,5 @@ __all__ = [
     "make_corridor",
     "make_building1_corridor",
     "make_building2_open_area",
-    "main_building_rooms",
-    "testing_building_rooms",
     "PlacementPlan",
-    "displacement_plan_for_room",
 ]

@@ -168,14 +168,6 @@ def path_is_clear(
     return True
 
 
-def wrap_angle(angle_rad: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    wrapped = math.fmod(angle_rad + math.pi, 2.0 * math.pi)
-    if wrapped <= 0.0:
-        wrapped += 2.0 * math.pi
-    return wrapped - math.pi
-
-
 def deg(rad: float) -> float:
     return math.degrees(rad)
 

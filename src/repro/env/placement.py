@@ -293,11 +293,3 @@ def main_building_plans() -> list[PlacementPlan]:
 def testing_building_plans() -> list[PlacementPlan]:
     """All plans for the cross-building testing dataset (Table 2)."""
     return [building1_plan(), building2_plan()]
-
-
-def displacement_plan_for_room(room_name: str) -> PlacementPlan:
-    """Look up the plan for a room by name (raises ``KeyError`` if unknown)."""
-    for plan in main_building_plans() + testing_building_plans():
-        if plan.room.name == room_name:
-            return plan
-    raise KeyError(f"no placement plan for room {room_name!r}")

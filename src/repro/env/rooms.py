@@ -170,20 +170,3 @@ def make_building2_open_area() -> Room:
         length, width, MATERIAL_LOSS_DB["drywall"], ("south", "far", "north", "near")
     )
     return Room("building2-open", walls, [], width=width, length=length)
-
-
-def main_building_rooms() -> list[Room]:
-    """The six main-dataset environments (Table 1)."""
-    return [
-        make_lobby(),
-        make_lab(),
-        make_conference_room(),
-        make_corridor(1.74),
-        make_corridor(3.2),
-        make_corridor(6.2),
-    ]
-
-
-def testing_building_rooms() -> list[Room]:
-    """The two testing-dataset environments (Table 2)."""
-    return [make_building1_corridor(), make_building2_open_area()]

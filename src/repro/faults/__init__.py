@@ -7,9 +7,7 @@ classifier so existing scenarios run under injected chaos. See
 """
 
 from repro.faults.plan import (
-    CLASSIFIER_FAULT_MODES,
     CORRUPTION_MODES,
-    SWEEP_FAILURE_MODES,
     AckLoss,
     ClassifierFault,
     FaultLog,
@@ -29,7 +27,6 @@ from repro.faults.wrappers import (
 __all__ = [
     "AckLoss",
     "ClassifierFault",
-    "CLASSIFIER_FAULT_MODES",
     "CORRUPTION_MODES",
     "FaultLog",
     "FaultPlan",
@@ -41,5 +38,4 @@ __all__ = [
     "MetricCorruption",
     "StaleReplay",
     "SweepFailure",
-    "SWEEP_FAILURE_MODES",
 ]

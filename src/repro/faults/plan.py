@@ -135,9 +135,6 @@ class StaleReplay:
         return rng.random() < self.probability
 
 
-SWEEP_FAILURE_MODES = ("fail", "partial")
-
-
 @dataclass
 class SweepFailure:
     """Break a sector sweep: total failure or a partial (garbage) result.
@@ -158,9 +155,6 @@ class SweepFailure:
         if rng.random() >= self.probability:
             return None
         return "partial" if rng.random() < self.partial_fraction else "fail"
-
-
-CLASSIFIER_FAULT_MODES = ("raise", "garbage")
 
 
 @dataclass

@@ -1,27 +1,2 @@
-"""X60-like MAC substrate: TDMA framing, throughput accounting, and the
-Block-ACK signalling LiBRA's Tx-initiated design relies on."""
-
-from repro.mac.framing import FrameConfig, X60_FRAME, AD_FRAME, frames_in
-from repro.mac.throughput import bytes_delivered, frame_payload_bytes
-from repro.mac.ack import BlockAck, ack_received
-from repro.mac.sls import (
-    SlsExchange,
-    cots_sweep_duration_s,
-    standard_sls_duration_s,
-    exhaustive_sweep_duration_s,
-)
-
-__all__ = [
-    "FrameConfig",
-    "X60_FRAME",
-    "AD_FRAME",
-    "frames_in",
-    "bytes_delivered",
-    "frame_payload_bytes",
-    "BlockAck",
-    "ack_received",
-    "SlsExchange",
-    "cots_sweep_duration_s",
-    "standard_sls_duration_s",
-    "exhaustive_sweep_duration_s",
-]
+"""MAC substrate: sector-sweep failure and its bounded retry
+(:mod:`repro.mac.sls`), which the live session and the fault wrappers use."""

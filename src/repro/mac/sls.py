@@ -1,99 +1,15 @@
-"""802.11ad sector-level-sweep protocol timing.
+"""Sector-sweep failure and bounded retry.
 
-The parametric overhead model in :mod:`repro.core.beam_adaptation` gives
-the §8.1 operating points; this module works the other direction — from
-the standard's actual protocol structure to the on-air time of one beam-
-forming exchange, so the four canonical values can be *derived* rather
-than assumed:
-
-* **SSW frames** are 26-byte control PHY frames (MCS 0, 27.5 Mbps) plus
-  preamble/header — about 15.8 µs on air, with a short SBIFS between
-  consecutive frames of one sweep;
-* an **initiator TXSS** sends one SSW frame per Tx sector; the responder
-  answers with its own sweep plus SSW-Feedback/ACK;
-* COTS devices run the initiator sweep only (quasi-omni reception);
-* an **exhaustive pairwise sweep** (research-platform style) dwells on
-  each (Tx, Rx) pair long enough to measure data-frame SNR.
+A sector sweep whose best pair decodes nothing is a *failed* sweep, not a
+beam decision.  Fault injectors and links raise :class:`SweepError` for
+it; the live session re-sweeps through :func:`sweep_with_retry` under a
+:class:`SweepRetryPolicy` instead of acting on garbage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar
-
-CONTROL_PHY_RATE_MBPS = 27.5
-"""802.11ad control PHY (MCS 0) data rate; SSW frames go out at this."""
-
-SSW_FRAME_BYTES = 26
-"""SSW frame body (management header + SSW field + BRP request)."""
-
-CONTROL_PHY_PREAMBLE_US = 4.654 + 4.654  # STF + CEF of the control PHY
-
-SBIFS_US = 1.0
-"""Short beamforming inter-frame space between sweep frames."""
-
-MBIFS_US = 9.0
-"""Medium beamforming IFS between sweep phases."""
-
-
-def ssw_frame_airtime_us() -> float:
-    """On-air duration of one SSW frame (preamble + body at MCS 0)."""
-    body_us = SSW_FRAME_BYTES * 8 / CONTROL_PHY_RATE_MBPS
-    return CONTROL_PHY_PREAMBLE_US + body_us
-
-
-@dataclass(frozen=True)
-class SlsExchange:
-    """One complete beamforming exchange between an initiator and a
-    responder.
-
-    Args:
-        initiator_sectors: Tx sectors the initiator sweeps.
-        responder_sectors: Tx sectors the responder sweeps back (0 for the
-            COTS initiator-only shortcut).
-        feedback: Include the SSW-Feedback + SSW-ACK tail.
-    """
-
-    initiator_sectors: int
-    responder_sectors: int = 0
-    feedback: bool = True
-
-    def __post_init__(self) -> None:
-        if self.initiator_sectors < 1:
-            raise ValueError("an SLS needs at least one initiator sector")
-        if self.responder_sectors < 0:
-            raise ValueError("responder sector count cannot be negative")
-
-    def duration_s(self) -> float:
-        """Total on-air time of the exchange."""
-        frame = ssw_frame_airtime_us()
-        initiator = self.initiator_sectors * frame + (
-            (self.initiator_sectors - 1) * SBIFS_US
-        )
-        total = initiator
-        if self.responder_sectors:
-            responder = self.responder_sectors * frame + (
-                (self.responder_sectors - 1) * SBIFS_US
-            )
-            total += MBIFS_US + responder
-        if self.feedback:
-            total += MBIFS_US + 2 * frame + SBIFS_US  # SSW-Feedback + SSW-ACK
-        return total * 1e-6
-
-
-def cots_sweep_duration_s(sectors: int) -> float:
-    """The COTS shortcut: initiator TXSS only, quasi-omni reception."""
-    return SlsExchange(sectors, responder_sectors=0).duration_s()
-
-
-def standard_sls_duration_s(initiator_sectors: int, responder_sectors: int) -> float:
-    """The full standard SLS: both sides train their Tx sectors."""
-    return SlsExchange(initiator_sectors, responder_sectors).duration_s()
-
-
-# ---------------------------------------------------------------------------
-# Sweep failure and bounded retry
-# ---------------------------------------------------------------------------
 
 SWEEP_MIN_VALID_SNR_DB = 0.0
 """Below this best-pair SNR no SSW frame decodes: the sweep found nothing.
@@ -164,18 +80,3 @@ def sweep_with_retry(
                 elapsed += retry.delay_after(index)
     return None, retry.max_attempts, elapsed
 
-
-def exhaustive_sweep_duration_s(
-    tx_sectors: int, rx_sectors: int, per_pair_dwell_s: float = 0.5e-3
-) -> float:
-    """Research-platform exhaustive pairwise measurement (O(N·M)).
-
-    Each pair is dwelt on long enough to average a data-frame SNR reading
-    — this is what X60-class platforms do and why their sweeps take
-    hundreds of milliseconds (paper §8.1's 150/250 ms points).
-    """
-    if tx_sectors < 1 or rx_sectors < 1:
-        raise ValueError("sector counts must be positive")
-    if per_pair_dwell_s <= 0:
-        raise ValueError("dwell must be positive")
-    return tx_sectors * rx_sectors * per_pair_dwell_s

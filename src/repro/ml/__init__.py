@@ -11,7 +11,6 @@ from repro.ml.tree import DecisionTreeClassifier
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.svm import SVMClassifier
 from repro.ml.nn import DenseNetworkClassifier
-from repro.ml.preprocessing import StandardScaler, LabelEncoder
 from repro.ml.model_selection import (
     StratifiedKFold,
     cross_validate,
@@ -30,8 +29,6 @@ __all__ = [
     "RandomForestClassifier",
     "SVMClassifier",
     "DenseNetworkClassifier",
-    "StandardScaler",
-    "LabelEncoder",
     "StratifiedKFold",
     "cross_validate",
     "repeated_cross_validate",

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from repro.ml.base import Estimator, check_Xy
+from repro.ml.preprocessing import StandardScaler
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -39,8 +40,6 @@ class DenseNetworkClassifier(Estimator):
         dropout: Drop probability applied after each hidden layer during
             training (inverted dropout; inference uses the full network).
         epochs / batch_size / learning_rate: Adam training schedule.
-        standardize: Z-score features internally (recommended — the LiBRA
-            features span very different ranges).
         random_state: Seed for init, shuffling and dropout masks.
     """
 
@@ -51,7 +50,6 @@ class DenseNetworkClassifier(Estimator):
         epochs: int = 150,
         batch_size: int = 32,
         learning_rate: float = 1e-3,
-        standardize: bool = True,
         random_state: Optional[int] = None,
     ):
         if len(hidden_sizes) != 3:
@@ -63,13 +61,11 @@ class DenseNetworkClassifier(Estimator):
         self.epochs = epochs
         self.batch_size = batch_size
         self.learning_rate = learning_rate
-        self.standardize = standardize
         self.random_state = random_state
         self.classes_: Optional[np.ndarray] = None
         self.weights_: Optional[list[np.ndarray]] = None
         self.biases_: Optional[list[np.ndarray]] = None
-        self._mean: Optional[np.ndarray] = None
-        self._std: Optional[np.ndarray] = None
+        self._scaler = StandardScaler()
 
     # -- training ----------------------------------------------------------
 
@@ -78,11 +74,8 @@ class DenseNetworkClassifier(Estimator):
         rng = np.random.default_rng(self.random_state)
         self.classes_, y_idx = np.unique(y, return_inverse=True)
         n_classes = len(self.classes_)
-        if self.standardize:
-            self._mean = X.mean(axis=0)
-            self._std = X.std(axis=0)
-            self._std[self._std == 0.0] = 1.0
-            X = (X - self._mean) / self._std
+        # The LiBRA features span very different ranges.
+        X = self._scaler.fit(X).transform(X)
         sizes = [X.shape[1], *self.hidden_sizes, n_classes]
         self.weights_ = [
             rng.normal(0.0, np.sqrt(2.0 / sizes[i]), (sizes[i], sizes[i + 1]))
@@ -165,10 +158,7 @@ class DenseNetworkClassifier(Estimator):
 
     def predict_proba(self, X) -> np.ndarray:
         self._require_fitted("weights_")
-        X, _ = check_Xy(X)
-        if self.standardize:
-            X = (X - self._mean) / self._std
-        a = X
+        a = self._scaler.transform(check_Xy(X)[0])
         for i in range(3):
             a = _relu(a @ self.weights_[i] + self.biases_[i])
         return _softmax(a @ self.weights_[3] + self.biases_[3])

@@ -1,12 +1,8 @@
-"""Feature and label preprocessing."""
+"""Feature standardisation shared by the SVM and the DNN."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
-
-from repro.ml.base import check_Xy
 
 
 class StandardScaler:
@@ -16,57 +12,11 @@ class StandardScaler:
     producing NaNs).
     """
 
-    def __init__(self) -> None:
-        self.mean_: Optional[np.ndarray] = None
-        self.scale_: Optional[np.ndarray] = None
-
-    def fit(self, X) -> "StandardScaler":
-        X, _ = check_Xy(X)
+    def fit(self, X: np.ndarray) -> "StandardScaler":
         self.mean_ = X.mean(axis=0)
         self.scale_ = X.std(axis=0)
         self.scale_[self.scale_ == 0.0] = 1.0
         return self
 
-    def transform(self, X) -> np.ndarray:
-        if self.mean_ is None:
-            raise RuntimeError("StandardScaler is not fitted")
-        X, _ = check_Xy(X)
+    def transform(self, X: np.ndarray) -> np.ndarray:
         return (X - self.mean_) / self.scale_
-
-    def fit_transform(self, X) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-    def inverse_transform(self, X) -> np.ndarray:
-        if self.mean_ is None:
-            raise RuntimeError("StandardScaler is not fitted")
-        X, _ = check_Xy(X)
-        return X * self.scale_ + self.mean_
-
-
-class LabelEncoder:
-    """Map arbitrary labels to contiguous integers and back."""
-
-    def __init__(self) -> None:
-        self.classes_: Optional[np.ndarray] = None
-
-    def fit(self, y) -> "LabelEncoder":
-        self.classes_ = np.unique(np.asarray(y))
-        return self
-
-    def transform(self, y) -> np.ndarray:
-        if self.classes_ is None:
-            raise RuntimeError("LabelEncoder is not fitted")
-        y = np.asarray(y)
-        lookup = {c: i for i, c in enumerate(self.classes_)}
-        try:
-            return np.array([lookup[v] for v in y])
-        except KeyError as exc:
-            raise ValueError(f"unseen label {exc.args[0]!r}") from None
-
-    def fit_transform(self, y) -> np.ndarray:
-        return self.fit(y).transform(y)
-
-    def inverse_transform(self, indices) -> np.ndarray:
-        if self.classes_ is None:
-            raise RuntimeError("LabelEncoder is not fitted")
-        return self.classes_[np.asarray(indices)]

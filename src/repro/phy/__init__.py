@@ -9,7 +9,7 @@ from repro.phy.antenna import Beam, Codebook, sibeam_codebook, quasi_omni_gain_d
 from repro.phy.propagation import free_space_path_loss_db, oxygen_absorption_db
 from repro.phy.channel import Ray, ChannelState, LinkGeometry
 from repro.phy.tracing import trace_rays_cached
-from repro.phy.blockage import HumanBlocker, blocker_positions_between
+from repro.phy.blockage import HumanBlocker
 from repro.phy.interference import (
     Interferer,
     InterferenceField,
@@ -21,7 +21,6 @@ from repro.phy.pdp import power_delay_profile, fft_pdp, pearson_similarity
 from repro.phy.error_model import (
     codeword_error_rate,
     codeword_delivery_ratio,
-    highest_working_mcs,
 )
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "trace_rays_cached",
     "LinkGeometry",
     "HumanBlocker",
-    "blocker_positions_between",
     "Interferer",
     "InterferenceField",
     "calibrate_field",
@@ -48,5 +46,4 @@ __all__ = [
     "pearson_similarity",
     "codeword_error_rate",
     "codeword_delivery_ratio",
-    "highest_working_mcs",
 ]

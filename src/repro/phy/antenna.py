@@ -156,15 +156,6 @@ class Beam:
             )
         return gains
 
-    def _lobe_power_array(
-        self, angles_deg: np.ndarray, centre_deg: float, width_deg: float, level_db: float
-    ) -> np.ndarray:
-        """Vectorised :meth:`_lobe_power`."""
-        delta = np.mod(angles_deg - centre_deg + 180.0, 360.0) - 180.0
-        exponent = -math.log(2.0) * (2.0 * delta / width_deg) ** 2
-        peak_db = self.peak_gain_dbi + level_db
-        return 10.0 ** (peak_db / 10.0) * np.exp(exponent)
-
 
 class Codebook:
     """An ordered collection of beams plus the quasi-omni pattern."""

@@ -60,17 +60,6 @@ def sample_body_loss_db(rng: np.random.Generator) -> float:
     return float(rng.uniform(low, high))
 
 
-def blocker_positions_between(tx: Point, rx: Point) -> list[Point]:
-    """The three §4.2 blocker positions along the Tx→Rx line."""
-    return [
-        Point(
-            tx.x + (rx.x - tx.x) * fraction,
-            tx.y + (rx.y - tx.y) * fraction,
-        )
-        for fraction in BLOCKER_PATH_FRACTIONS
-    ]
-
-
 def make_blocker(
     tx: Point,
     rx: Point,

@@ -242,22 +242,3 @@ def snr_matrix_db(
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(np.maximum(signal_mw / noise_per_rx[None, :], 1e-30))
 
-
-def best_beam_pair(
-    state: ChannelState,
-    codebook: Codebook,
-    tx_orientation_deg: float,
-    rx_orientation_deg: float,
-    tx_power_dbm: float,
-) -> tuple[int, int, float]:
-    """Exhaustive O(N^2) sweep: the (tx_beam, rx_beam) pair maximising SNR.
-
-    This is the naive search the paper uses to *emulate BA* during dataset
-    collection (§5.1).  Returns ``(tx_index, rx_index, snr_db)``.
-    """
-    matrix = snr_matrix_db(
-        state, codebook, tx_orientation_deg, rx_orientation_deg, tx_power_dbm
-    )
-    flat_index = int(np.argmax(matrix))
-    ti, ri = divmod(flat_index, matrix.shape[1])
-    return ti, ri, float(matrix[ti, ri])

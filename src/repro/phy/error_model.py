@@ -22,7 +22,6 @@ from repro.constants import (
     X60_MCS_TABLE,
 )
 
-_THRESHOLDS_DB = np.array(X60_MCS_SNR_THRESHOLDS_DB, dtype=float)
 _PHY_RATES_MBPS = np.array([row[3] for row in X60_MCS_TABLE], dtype=float)
 
 WATERFALL_STEEPNESS_PER_DB = 4.0
@@ -86,21 +85,6 @@ def is_working_mcs(snr_db: float, mcs: int) -> bool:
     return is_working(cdr, phy_rate_mbps(mcs) * cdr)
 
 
-def highest_working_mcs(
-    snr_db: float, max_mcs: Optional[int] = None
-) -> Optional[int]:
-    """The highest working MCS at this SNR, or ``None`` if the link is dead.
-
-    ``max_mcs`` caps the search (RA never probes above the initial MCS when
-    repairing a link, §5.2).
-    """
-    top = len(X60_MCS_TABLE) - 1 if max_mcs is None else max_mcs
-    for mcs in range(top, -1, -1):
-        if is_working_mcs(snr_db, mcs):
-            return mcs
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Vectorized (batch) API — same values as the scalar functions above, one
 # array call over any SNR shape x all (or a subset of) MCS indices.
@@ -137,14 +121,6 @@ def codeword_delivery_ratio_array(
 ) -> np.ndarray:
     """Per-MCS CDR (1 − CER) for any array of SNRs: ``snr.shape + (n_mcs,)``."""
     return 1.0 - codeword_error_rate_array(snr_db, thresholds_db)
-
-
-def throughput_mbps_array(
-    snr_db,
-    thresholds_db: Sequence[float] = X60_MCS_SNR_THRESHOLDS_DB,
-) -> np.ndarray:
-    """Per-MCS expected throughput for any array of SNRs."""
-    return _PHY_RATES_MBPS * codeword_delivery_ratio_array(snr_db, thresholds_db)
 
 
 def best_throughput_array(

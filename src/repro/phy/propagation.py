@@ -39,13 +39,3 @@ def oxygen_absorption_db(distance_m: float) -> float:
 def path_loss_db(distance_m: float) -> float:
     """Total large-scale loss of a clear path (FSPL + oxygen)."""
     return free_space_path_loss_db(distance_m) + oxygen_absorption_db(distance_m)
-
-
-def time_of_flight_s(path_length_m: float) -> float:
-    """Propagation delay along a path of the given length."""
-    return path_length_m / SPEED_OF_LIGHT_M_S
-
-
-def time_of_flight_ns(path_length_m: float) -> float:
-    """Propagation delay in nanoseconds (the unit the dataset features use)."""
-    return time_of_flight_s(path_length_m) * 1e9

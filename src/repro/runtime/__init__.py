@@ -19,11 +19,10 @@ results (and observability merges) are applied in item order.
 """
 
 from repro.runtime.pool import parallel_map
-from repro.runtime.shard import child_rng, child_seeds, shard_bounds, shard_items
+from repro.runtime.shard import child_rng, shard_bounds, shard_items
 
 __all__ = [
     "child_rng",
-    "child_seeds",
     "parallel_map",
     "shard_bounds",
     "shard_items",

@@ -48,18 +48,6 @@ def shard_items(items: Sequence[T], n_shards: int) -> list[list[T]]:
     return [items[start:stop] for start, stop in shard_bounds(len(items), n_shards)]
 
 
-def child_seeds(master_seed: int, n: int) -> list[int]:
-    """``n`` independent 63-bit seeds, one per item index.
-
-    ``child_seeds(s, n)[i]`` equals ``child_seeds(s, m)[i]`` for any
-    ``m > i`` — growing the item list never reshuffles earlier streams.
-    """
-    return [
-        int(np.random.SeedSequence((master_seed, index)).generate_state(1)[0])
-        for index in range(n)
-    ]
-
-
 def child_rng(
     master_seed: int, index: int, domain: int = 0
 ) -> np.random.Generator:

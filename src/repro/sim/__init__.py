@@ -2,14 +2,14 @@
 generators, oracle baselines, result statistics, and the VR application."""
 
 from repro.sim.engine import SimulationConfig, FlowResult, simulate_flow, simulate_timeline
-from repro.sim.batch import BatchFlowSimulator, batch_decisions, simulate_flows_batch
+from repro.sim.batch import BatchFlowSimulator, batch_decisions
 from repro.sim.trajectory import EntryTrajectories, TrajectoryCache, entry_fingerprint
 from repro.sim.timeline import Timeline, Segment, TimelineGenerator, ScenarioType
 from repro.sim.oracle import OracleData, OracleDelay
 from repro.sim.live import LinkEvent, LiveSession
 from repro.sim.sweep import EvaluationGrid, OperatingPoint, PointResult, paper_grid
 from repro.sim.report import grid_report
-from repro.sim.results import cdf_points, boxplot_stats, summarize
+from repro.sim.results import cdf_points, boxplot_stats
 from repro.sim.vr import (
     VRConfig,
     VRTrace,
@@ -27,7 +27,6 @@ __all__ = [
     "simulate_timeline",
     "BatchFlowSimulator",
     "batch_decisions",
-    "simulate_flows_batch",
     "EntryTrajectories",
     "TrajectoryCache",
     "entry_fingerprint",
@@ -46,7 +45,6 @@ __all__ = [
     "grid_report",
     "cdf_points",
     "boxplot_stats",
-    "summarize",
     "VRConfig",
     "VRTrace",
     "simulate_vr_session",

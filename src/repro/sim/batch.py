@@ -444,35 +444,3 @@ def batch_decisions(
             get_metrics().counter("sim.batch_decide_fallback").inc()
     return [simulator._decide_one(policy, entry, duration_s) for entry in entries]
 
-
-def simulate_flows_batch(
-    policy: LinkAdaptationPolicy,
-    entries: list[DatasetEntry],
-    config: SimulationConfig,
-    duration_s: float,
-    recorder: TraceRecorder = NULL_RECORDER,
-    metrics: MetricsRegistry = NULL_METRICS,
-    simulator: Optional[BatchFlowSimulator] = None,
-) -> list[FlowResult]:
-    """All entries' flows for one (policy, operating point), batched.
-
-    Byte-identical to calling ``simulate_flow(policy, entry, …)`` in a
-    loop: same results, same per-flow trace events (in entry order), same
-    flow metrics.  Pass a shared ``simulator`` to reuse trajectories and
-    outcome memos across calls (the CLI replays every policy over one
-    simulator; the grid shares one cache across operating points).
-    """
-    if duration_s <= 0:
-        raise ValueError("flow duration must be positive")
-    entries = list(entries)
-    if simulator is None:
-        simulator = BatchFlowSimulator(config, metrics=metrics)
-    elif simulator.config != config:
-        raise ValueError("simulator was built for a different SimulationConfig")
-    decisions = batch_decisions(policy, simulator, entries, duration_s)
-    return [
-        simulator.simulate_with_decision(
-            policy, entry, decision, duration_s, recorder, metrics
-        )
-        for entry, decision in zip(entries, decisions)
-    ]

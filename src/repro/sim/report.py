@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.sim.results import cdf_points, fraction_at_most
 from repro.sim.sweep import PointResult
 from repro.viz.ascii import ascii_cdf

@@ -62,8 +62,3 @@ def boxplot_stats(values) -> BoxplotStats:
         float(values.min()), float(q1), float(median), float(q3),
         float(values.max()), float(values.mean()),
     )
-
-
-def summarize(name: str, values) -> str:
-    """One printable row: name + boxplot stats."""
-    return f"{name:>12}: {boxplot_stats(values)}"

@@ -28,7 +28,6 @@ from repro.phy.blockage import HumanBlocker
 from repro.phy.channel import (
     ChannelState,
     LinkGeometry,
-    best_beam_pair,
     per_ray_received_powers_dbm,
     snr_db as channel_snr_db,
 )

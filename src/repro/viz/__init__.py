@@ -1,12 +1,11 @@
 """Dependency-free ASCII visualisation for terminals and result files.
 
 The repository deliberately avoids plotting dependencies; these renderers
-give the examples and benchmark artifacts readable CDFs, boxplots,
-histograms, and sector-timeline strips.
+give the examples and benchmark artifacts readable CDFs, histograms,
+and sector-timeline strips.
 """
 
 from repro.viz.ascii import (
-    ascii_boxplot,
     ascii_cdf,
     ascii_histogram,
     beam_pattern_strip,
@@ -16,7 +15,6 @@ from repro.viz.ascii import (
 
 __all__ = [
     "ascii_cdf",
-    "ascii_boxplot",
     "ascii_histogram",
     "sector_strip",
     "beam_pattern_strip",

@@ -1,4 +1,4 @@
-"""ASCII renderers: CDFs, boxplots, histograms, sector strips.
+"""ASCII renderers: CDFs, histograms, sector strips.
 
 All functions return a list of text lines (no printing, no I/O) so the
 callers — examples, benchmark artifacts, debug sessions — decide where
@@ -61,47 +61,6 @@ def ascii_cdf(
         f"{_GLYPHS[i % len(_GLYPHS)]}={name}" for i, name in enumerate(arrays)
     )
     lines.append("      " + legend)
-    return lines
-
-
-def ascii_boxplot(
-    series: Mapping[str, Sequence[float]],
-    width: int = _DEFAULT_WIDTH,
-    title: str = "",
-) -> list[str]:
-    """Render horizontal boxplots (min—[q1|median|q3]—max) per series."""
-    if not series:
-        raise ValueError("no series to plot")
-    arrays = {name: np.asarray(v, dtype=float) for name, v in series.items()}
-    for name, values in arrays.items():
-        if values.size == 0:
-            raise ValueError(f"series {name!r} is empty")
-    low = min(float(v.min()) for v in arrays.values())
-    high = max(float(v.max()) for v in arrays.values())
-    label_width = max(len(name) for name in arrays)
-    lines = []
-    if title:
-        lines.append(title)
-    for name, values in arrays.items():
-        q1, median, q3 = np.percentile(values, [25, 50, 75])
-        row = [" "] * width
-        lo_col = _scale(float(values.min()), low, high, width)
-        hi_col = _scale(float(values.max()), low, high, width)
-        q1_col = _scale(float(q1), low, high, width)
-        q3_col = _scale(float(q3), low, high, width)
-        med_col = _scale(float(median), low, high, width)
-        for col in range(lo_col, hi_col + 1):
-            row[col] = "-"
-        for col in range(q1_col, q3_col + 1):
-            row[col] = "="
-        row[lo_col] = "|"
-        row[hi_col] = "|"
-        row[med_col] = "O"
-        lines.append(f"{name:>{label_width}} |" + "".join(row))
-    lines.append(" " * label_width + " +" + "-" * width)
-    lines.append(
-        " " * label_width + f"  {low:<12.3g}{'':^{max(width - 24, 0)}}{high:>12.3g}"
-    )
     return lines
 
 

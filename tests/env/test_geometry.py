@@ -14,7 +14,6 @@ from repro.env.geometry import (
     rad,
     segment_intersection,
     segments_intersect,
-    wrap_angle,
 )
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -154,14 +153,5 @@ class TestPathIsClear:
 
 
 class TestAngles:
-    @given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
-    def test_wrap_angle_range(self, angle):
-        wrapped = wrap_angle(angle)
-        assert -math.pi < wrapped <= math.pi
-
-    @given(st.floats(min_value=-math.pi + 1e-6, max_value=math.pi, allow_nan=False))
-    def test_wrap_angle_identity_inside_range(self, angle):
-        assert wrap_angle(angle) == pytest.approx(angle, abs=1e-9)
-
     def test_deg_rad_round_trip(self):
         assert deg(rad(37.5)) == pytest.approx(37.5)

@@ -4,9 +4,7 @@ import pytest
 
 from repro.env.placement import (
     ROTATION_STEPS_DEG,
-    PlacementPlan,
     RadioPose,
-    displacement_plan_for_room,
     lobby_plan,
     main_building_plans,
     testing_building_plans as _testing_building_plans,
@@ -73,13 +71,6 @@ class TestPlans:
         # of new states but above the number of tracks.
         total_states = sum(len(t.new_states) for t in plan.displacement_tracks)
         assert len(plan.displacement_tracks) < count < total_states
-
-    def test_lookup_by_room_name(self):
-        plan = displacement_plan_for_room("lobby")
-        assert isinstance(plan, PlacementPlan)
-        with pytest.raises(KeyError):
-            displacement_plan_for_room("cafeteria")
-
 
 class TestRadioPose:
     def test_orientation_conversion(self):

@@ -2,17 +2,16 @@
 
 import pytest
 
+from repro.env.placement import main_building_plans
 from repro.env.rooms import (
     MATERIAL_LOSS_DB,
     Room,
-    main_building_rooms,
     make_building1_corridor,
     make_building2_open_area,
     make_conference_room,
     make_corridor,
     make_lab,
     make_lobby,
-    testing_building_rooms as _testing_building_rooms,
 )
 
 
@@ -70,19 +69,8 @@ class TestRoomQueries:
         assert len(list(make_lobby().iter_walls())) == 4
 
     def test_walls_form_closed_rectangle(self):
-        for room in main_building_rooms():
+        for room in (plan.room for plan in main_building_plans()):
             # Each wall's end is the next wall's start (closed loop).
             walls = room.walls
             for current, following in zip(walls, walls[1:] + walls[:1]):
                 assert current.b.distance_to(following.a) < 1e-9, room.name
-
-
-class TestRoomSets:
-    def test_main_building_has_six_environments(self):
-        rooms = main_building_rooms()
-        assert len(rooms) == 6
-        assert len({r.name for r in rooms}) == 6
-
-    def test_testing_buildings(self):
-        rooms = _testing_building_rooms()
-        assert [r.name for r in rooms] == ["building1-corridor", "building2-open"]

@@ -1,64 +1,54 @@
-"""802.11ad SLS protocol-timing tests."""
+"""Sector-sweep retry tests."""
 
 import pytest
 
-from repro.mac.sls import (
-    SlsExchange,
-    cots_sweep_duration_s,
-    exhaustive_sweep_duration_s,
-    ssw_frame_airtime_us,
-    standard_sls_duration_s,
-)
+from repro.mac.sls import SweepError, SweepRetryPolicy, sweep_with_retry
 
 
-class TestSswFrame:
-    def test_airtime_matches_control_phy(self):
-        # 26 bytes at 27.5 Mbps ≈ 7.6 µs + ~9.3 µs preamble ≈ 16-17 µs.
-        assert 14.0 < ssw_frame_airtime_us() < 20.0
+def flaky(failures: int):
+    """An attempt that raises ``SweepError`` ``failures`` times, then succeeds."""
+    calls = []
+
+    def attempt():
+        calls.append(None)
+        if len(calls) <= failures:
+            raise SweepError(f"failure {len(calls)}")
+        return "pair"
+
+    return attempt
 
 
-class TestExchangeDurations:
-    def test_cots_sweep_is_sub_millisecond(self):
-        """Today's devices (a few tens of sectors, Tx-only): the paper's
-        0.5 ms operating point."""
-        assert 0.2e-3 < cots_sweep_duration_s(32) < 1.5e-3
+class TestRetryPolicy:
+    def test_backoff_is_exponential(self):
+        policy = SweepRetryPolicy(base_delay_s=1e-3, backoff_factor=2.0)
+        assert [policy.delay_after(k) for k in range(3)] == [1e-3, 2e-3, 4e-3]
 
-    def test_narrow_beam_sweep_reaches_milliseconds(self):
-        """3° beams → ~10x the sectors → the paper's 5 ms point."""
-        duration = cots_sweep_duration_s(320)
-        assert 3e-3 < duration < 10e-3
-
-    def test_standard_sls_adds_responder_sweep(self):
-        one_sided = standard_sls_duration_s(32, 0)
-        two_sided = standard_sls_duration_s(32, 32)
-        assert two_sided > 1.8 * one_sided
-
-    def test_exhaustive_sweep_reaches_paper_values(self):
-        """25 x 25 pairs at sub-millisecond dwells: the 150-250 ms regime
-        of research platforms with directional reception."""
-        low = exhaustive_sweep_duration_s(25, 25, per_pair_dwell_s=0.25e-3)
-        high = exhaustive_sweep_duration_s(25, 25, per_pair_dwell_s=0.4e-3)
-        assert 0.1 < low < 0.2
-        assert 0.2 < high < 0.3
-
-    def test_feedback_tail_optional(self):
-        with_feedback = SlsExchange(16, feedback=True).duration_s()
-        without = SlsExchange(16, feedback=False).duration_s()
-        assert with_feedback > without
-
-    def test_duration_linear_in_sectors(self):
-        small = SlsExchange(10, feedback=False).duration_s()
-        large = SlsExchange(20, feedback=False).duration_s()
-        assert large == pytest.approx(2 * small, rel=0.05)
-
-
-class TestValidation:
-    def test_bad_sector_counts_rejected(self):
+    def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
-            SlsExchange(0)
+            SweepRetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
-            SlsExchange(4, responder_sectors=-1)
-        with pytest.raises(ValueError):
-            exhaustive_sweep_duration_s(0, 4)
-        with pytest.raises(ValueError):
-            exhaustive_sweep_duration_s(4, 4, per_pair_dwell_s=0.0)
+            SweepRetryPolicy(backoff_factor=0.5)
+
+
+class TestSweepWithRetry:
+    def test_first_success_costs_one_attempt(self):
+        assert sweep_with_retry(flaky(0), attempt_cost_s=0.5) == ("pair", 1, 0.5)
+
+    def test_retries_charge_attempts_and_backoff(self):
+        failures = []
+        result, attempts, elapsed = sweep_with_retry(
+            flaky(2),
+            SweepRetryPolicy(max_attempts=3, base_delay_s=1.0, backoff_factor=2.0),
+            attempt_cost_s=0.5,
+            on_failure=lambda index, reason: failures.append((index, reason)),
+        )
+        assert (result, attempts) == ("pair", 3)
+        assert elapsed == pytest.approx(3 * 0.5 + 1.0 + 2.0)
+        assert failures == [(0, "failure 1"), (1, "failure 2")]
+
+    def test_exhausted_budget_returns_none(self):
+        result, attempts, elapsed = sweep_with_retry(
+            flaky(5), SweepRetryPolicy(max_attempts=2, base_delay_s=1.0)
+        )
+        assert (result, attempts) == (None, 2)
+        assert elapsed == pytest.approx(1.0)  # no backoff after the last failure

@@ -76,10 +76,3 @@ class TestValidation:
     def test_unfitted_predict_raises(self):
         with pytest.raises(RuntimeError):
             DenseNetworkClassifier().predict(np.zeros((1, 2)))
-
-    def test_standardize_flag_off_still_learns(self):
-        X, y = blobs()
-        model = DenseNetworkClassifier(
-            epochs=60, standardize=False, random_state=0
-        ).fit(X, y)
-        assert model.score(X, y) > 0.9

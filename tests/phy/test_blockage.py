@@ -9,7 +9,6 @@ from repro.phy.blockage import (
     BLOCKER_PATH_FRACTIONS,
     HUMAN_TORSO_WIDTH_M,
     HumanBlocker,
-    blocker_positions_between,
     make_blocker,
     sample_body_loss_db,
 )
@@ -37,9 +36,18 @@ class TestBlockerGeometry:
         assert segments_intersect(tx, rx, blocker.as_segment())
 
 
+def paper_positions(tx: Point, rx: Point) -> list[Point]:
+    """Where the dataset builder stands its §4.2 blockers (no jitter)."""
+    rng = np.random.default_rng(0)
+    return [
+        make_blocker(tx, rx, fraction, rng).position
+        for fraction in BLOCKER_PATH_FRACTIONS
+    ]
+
+
 class TestPlacement:
     def test_three_paper_positions(self):
-        positions = blocker_positions_between(Point(0, 0), Point(10, 0))
+        positions = paper_positions(Point(0, 0), Point(10, 0))
         assert len(positions) == len(BLOCKER_PATH_FRACTIONS) == 3
         assert positions[0].x == pytest.approx(1.5)   # near Tx
         assert positions[1].x == pytest.approx(5.0)   # middle
@@ -47,7 +55,7 @@ class TestPlacement:
 
     def test_positions_on_the_line(self):
         tx, rx = Point(1, 2), Point(7, 8)
-        for p in blocker_positions_between(tx, rx):
+        for p in paper_positions(tx, rx):
             # Collinearity: cross product of (p - tx) and (rx - tx) is 0.
             assert (p - tx).cross(rx - tx) == pytest.approx(0.0, abs=1e-9)
 

@@ -13,7 +13,6 @@ from repro.phy.error_model import (
     best_throughput_mcs,
     codeword_delivery_ratio,
     codeword_error_rate,
-    highest_working_mcs,
     is_working_mcs,
     phy_rate_mbps,
     throughput_mbps,
@@ -76,23 +75,13 @@ class TestWorkingMcs:
         assert is_working_mcs(X60_MCS_SNR_THRESHOLDS_DB[0] + 2.0, 0)
         assert not is_working_mcs(X60_MCS_SNR_THRESHOLDS_DB[0] - 3.0, 0)
 
-    def test_highest_working_mcs_at_mid_snr(self):
-        # 16 dB clears thresholds up to MCS 5 (15.0) but not MCS 6 (17.0).
-        assert highest_working_mcs(16.0) == 5
-
-    def test_highest_working_respects_cap(self):
-        assert highest_working_mcs(40.0, max_mcs=3) == 3
-
-    def test_dead_link_returns_none(self):
-        assert highest_working_mcs(-15.0) is None
-
     @given(snr_values)
     def test_best_throughput_at_least_highest_working(self, snr):
         mcs, tput = best_throughput_mcs(snr)
         if mcs is None:
             assert tput == 0.0
         else:
-            highest = highest_working_mcs(snr)
+            highest = max(m for m in range(X60_NUM_MCS) if is_working_mcs(snr, m))
             assert tput >= throughput_mbps(snr, highest) - 1e-9
             assert tput > WORKING_MCS_MIN_THROUGHPUT_MBPS
 

@@ -19,7 +19,6 @@ from repro.phy.error_model import (
     phy_rate_mbps,
     phy_rates_mbps,
     throughput_mbps,
-    throughput_mbps_array,
 )
 
 N_MCS = len(X60_MCS_TABLE)
@@ -45,7 +44,7 @@ class TestScalarBatchParity:
                 )
 
     def test_throughput_full_grid(self):
-        batch = throughput_mbps_array(SNR_GRID)
+        batch = phy_rates_mbps() * codeword_delivery_ratio_array(SNR_GRID)
         for i, snr in enumerate(SNR_GRID):
             for mcs in range(N_MCS):
                 assert abs(batch[i, mcs] - throughput_mbps(snr, mcs)) <= 1e-9

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.constants import SPEED_OF_LIGHT_M_S
+from repro.phy.channel import Ray
 from repro.phy.propagation import (
     free_space_path_loss_db,
     oxygen_absorption_db,
     path_loss_db,
-    time_of_flight_ns,
-    time_of_flight_s,
 )
 
 
@@ -52,14 +51,18 @@ class TestOxygenAbsorption:
         )
 
 
+def ray(path_length_m: float) -> Ray:
+    return Ray(0.0, 180.0, path_length_m, 0.0, order=0)
+
+
 class TestTimeOfFlight:
     def test_speed_of_light(self):
-        assert time_of_flight_s(SPEED_OF_LIGHT_M_S) == pytest.approx(1.0)
+        assert ray(SPEED_OF_LIGHT_M_S).delay_s == pytest.approx(1.0)
 
     def test_nanoseconds_at_typical_range(self):
         # 3 m ≈ 10 ns.
-        assert time_of_flight_ns(3.0) == pytest.approx(10.0, abs=0.1)
+        assert ray(3.0).delay_ns == pytest.approx(10.0, abs=0.1)
 
     @given(st.floats(min_value=0.0, max_value=1000.0))
     def test_linear_in_distance(self, d):
-        assert time_of_flight_ns(2 * d) == pytest.approx(2 * time_of_flight_ns(d))
+        assert ray(2 * d).delay_ns == pytest.approx(2 * ray(d).delay_ns)

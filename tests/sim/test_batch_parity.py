@@ -4,9 +4,11 @@
 below produced at the commit recorded in it: every ``FlowResult`` field
 as a value, and the ``FlowEvent.to_dict()`` lists and metric snapshots
 (wall-clock fields dropped) as SHA-256 digests.  Every replay entry point
-— ``simulate_flow``, ``simulate_flows_batch``, the oracles,
-``EvaluationGrid.run``/``run_point``, ``simulate_timeline`` and
-``profile_from_timeline`` — must reproduce them bit for bit.
+— ``simulate_flow``, the batched ``batch_decisions`` +
+``simulate_with_decision`` composition that ``EvaluationGrid.run_point``
+and ``repro evaluate`` use, the oracles, ``EvaluationGrid.run``/``run_point``,
+``simulate_timeline`` and ``profile_from_timeline`` — must reproduce them
+bit for bit.
 
 The goldens change only with an intended change of replay behaviour.
 Regenerate them with::
@@ -30,7 +32,7 @@ from repro.faults import FaultPlan, FaultyPolicy
 from repro.ml.forest import RandomForestClassifier
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import InMemoryTraceRecorder
-from repro.sim.batch import BatchFlowSimulator, simulate_flows_batch
+from repro.sim.batch import BatchFlowSimulator, batch_decisions
 from repro.sim.engine import SimulationConfig, simulate_flow, simulate_timeline
 from repro.sim.oracle import OracleData, OracleDelay
 from repro.sim.report import grid_report
@@ -143,12 +145,19 @@ def run_flows(make_policy, entries, config, duration_s) -> dict:
 
 
 def run_batch(make_policy, entries, config, duration_s, simulator=None) -> dict:
+    """All entries' decisions in one ``batch_decisions`` call, then one
+    ``simulate_with_decision`` per entry: the grid's and the CLI's replay."""
     policy = make_policy()
     recorder, metrics = InMemoryTraceRecorder(), MetricsRegistry()
-    results = simulate_flows_batch(
-        policy, entries, config, duration_s, recorder, metrics,
-        simulator=simulator,
-    )
+    if simulator is None:
+        simulator = BatchFlowSimulator(config, metrics=metrics)
+    decisions = batch_decisions(policy, simulator, entries, duration_s)
+    results = [
+        simulator.simulate_with_decision(
+            policy, entry, decision, duration_s, recorder, metrics
+        )
+        for entry, decision in zip(entries, decisions)
+    ]
     return flow_record(
         results, recorder, without_cache_counters(metrics_snapshot(metrics))
     )
@@ -309,16 +318,13 @@ class TestFlowParity:
             e for e in adopted.to_payload()["entries"]
         ))
 
-    def test_mismatched_simulator_config_rejected(self):
-        simulator = BatchFlowSimulator(SLOW_CFG)
-        with pytest.raises(ValueError, match="different SimulationConfig"):
-            simulate_flows_batch(
-                RAFirstPolicy(), parity_entries(), CFG, 0.2, simulator=simulator
-            )
-
     def test_nonpositive_duration_rejected(self):
+        simulator = BatchFlowSimulator(CFG)
+        entry = parity_entries()[0]
+        policy = RAFirstPolicy()
+        decision = batch_decisions(policy, simulator, [entry], 0.2)[0]
         with pytest.raises(ValueError):
-            simulate_flows_batch(RAFirstPolicy(), parity_entries(), CFG, 0.0)
+            simulator.simulate_with_decision(policy, entry, decision, 0.0)
 
 
 # -- the evaluation grid ---------------------------------------------------------

@@ -6,8 +6,6 @@ from repro.core.history import BlockagePatternLearner
 from repro.core.libra import LiBRA
 from repro.env.geometry import Point
 from repro.env.placement import RadioPose
-from repro.env.rooms import make_lobby
-from repro.env.trajectories import periodic_blockage_events
 from repro.sim.live import LiveSession
 from repro.testbed.x60 import X60Link
 

@@ -8,7 +8,6 @@ from repro.sim.results import (
     boxplot_stats,
     cdf_points,
     fraction_at_most,
-    summarize,
 )
 
 
@@ -62,7 +61,3 @@ class TestBoxplot:
 
     def test_str_contains_fields(self):
         assert "med" in str(boxplot_stats([1.0, 2.0, 3.0]))
-
-    def test_summarize_row(self):
-        row = summarize("LiBRA", [1.0, 2.0])
-        assert row.startswith("       LiBRA:")

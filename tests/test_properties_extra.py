@@ -13,7 +13,7 @@ from repro.core.observation import FrameFeedback, MetricWindow
 from repro.env.geometry import Point, Segment, mirror_point, segment_intersection
 from repro.ml.persistence import tree_from_dict, tree_to_dict
 from repro.ml.tree import DecisionTreeClassifier
-from repro.viz.ascii import ascii_boxplot, ascii_cdf, ascii_histogram
+from repro.viz.ascii import ascii_cdf, ascii_histogram
 
 coords = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 small_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -136,5 +136,4 @@ class TestVizProperties:
     @settings(max_examples=30, deadline=None)
     def test_renderers_never_crash_on_finite_input(self, values):
         assert ascii_cdf({"s": values})
-        assert ascii_boxplot({"s": values})
         assert ascii_histogram(values)

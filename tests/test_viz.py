@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.viz.ascii import ascii_boxplot, ascii_cdf, ascii_histogram, sector_strip
+from repro.viz.ascii import ascii_cdf, ascii_histogram, sector_strip
 
 
 class TestAsciiCdf:
@@ -29,25 +29,6 @@ class TestAsciiCdf:
             ascii_cdf({})
         with pytest.raises(ValueError):
             ascii_cdf({"a": []})
-
-
-class TestAsciiBoxplot:
-    def test_median_between_extents(self):
-        lines = ascii_boxplot({"x": [0.0, 5.0, 10.0]}, width=21)
-        row = lines[0]
-        assert row.count("|") >= 2  # whisker ends (plus label separator)
-        assert "O" in row
-        assert row.index("O") < len(row)
-
-    def test_two_series_share_axis(self):
-        lines = ascii_boxplot({"lo": [0, 1, 2], "hi": [8, 9, 10]}, width=22)
-        lo_median = lines[0].index("O")
-        hi_median = lines[1].index("O")
-        assert lo_median < hi_median
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ascii_boxplot({})
 
 
 class TestAsciiHistogram:
