@@ -71,13 +71,6 @@ class CheckpointStore:
         payload = envelope.get("payload")
         return payload if isinstance(payload, dict) else None
 
-    def size_bytes(self, key: str) -> Optional[int]:
-        """On-disk size of the checkpoint under ``key``; ``None`` if absent."""
-        try:
-            return self.path(key).stat().st_size
-        except OSError:
-            return None
-
     def keys(self) -> list[str]:
         """Keys with a (possibly unusable) checkpoint on disk, sorted."""
         return sorted(

@@ -19,6 +19,7 @@ stdout); see ``docs/observability.md``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -384,6 +385,15 @@ def _cmd_evaluate(args) -> int:
     from repro.runtime import parallel_map, shard_items
     from repro.sim.engine import SimulationConfig
 
+    try:
+        config = SimulationConfig(
+            ba_overhead_s=args.ba_overhead_ms * 1e-3,
+            frame_time_s=args.fat_ms * 1e-3,
+        )
+    except ValueError as error:
+        return _fail(str(error))
+    if not (math.isfinite(args.flow_s) and args.flow_s > 0):
+        return _fail(f"--flow-s must be a finite number > 0, got {args.flow_s!r}")
     # Always-on stage timing (independent of --metrics): the evaluate
     # run ends with a one-line load/model/replay breakdown.
     stages = MetricsRegistry()
@@ -392,10 +402,6 @@ def _cmd_evaluate(args) -> int:
             dataset = load_dataset(args.dataset).without_na()
     except (OSError, ValueError, KeyError) as error:
         return _fail(f"cannot load dataset {args.dataset!r}: {error}")
-    config = SimulationConfig(
-        ba_overhead_s=args.ba_overhead_ms * 1e-3,
-        frame_time_s=args.fat_ms * 1e-3,
-    )
     policies = {"BA First": BAFirstPolicy(), "RA First": RAFirstPolicy()}
     if args.model:
         try:
@@ -418,7 +424,7 @@ def _cmd_evaluate(args) -> int:
             recorder=recorder,
         )
     gaps = {name: [] for name in policies}
-    cache_totals = {"hits": 0, "misses": 0, "loaded": 0, "entries": 0}
+    cache_totals = {"hits": 0, "misses": 0, "entries": 0}
     for partial_gaps, cache_stats in outcomes:
         for name, values in partial_gaps.items():
             gaps[name].extend(values)
@@ -427,12 +433,7 @@ def _cmd_evaluate(args) -> int:
     if recorder.enabled:
         from repro.obs.events import CacheEvent
 
-        recorder.record(
-            CacheEvent(
-                "trajectory", cache_totals["hits"], cache_totals["misses"],
-                cache_totals["loaded"], cache_totals["entries"],
-            )
-        )
+        recorder.record(CacheEvent("trajectory", **cache_totals))
     print(
         f"{len(dataset)} impairments, BA overhead {args.ba_overhead_ms:g} ms, "
         f"FAT {args.fat_ms:g} ms, {args.flow_s:g} s flows:"

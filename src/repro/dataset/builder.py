@@ -43,6 +43,7 @@ from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.phy.blockage import BLOCKER_PATH_FRACTIONS, make_blocker
 from repro.phy.interference import Interferer
 from repro.phy.noise import NoiseModel
+from repro.phy.tracing import MAX_REFLECTION_ORDER
 from repro.runtime import child_rng, parallel_map
 from repro.testbed.x60 import PDP_BIN_NOISE_STD, SNR_JITTER_STD_DB, X60Link
 
@@ -63,7 +64,6 @@ class DatasetBuildConfig:
     include_na: bool = False
     ground_truth: GroundTruthConfig = field(default_factory=GroundTruthConfig)
     seed: int = 0
-    max_reflection_order: int = 2
     observation_window_s: float = 1.0
     """Averaging window behind each reported metric.  Shorter windows make
     the *reported* metrics noisier (σ ∝ 1/sqrt(window)) while the ground
@@ -84,7 +84,6 @@ def _make_link(plan: PlacementPlan, tx: RadioPose, config: DatasetBuildConfig) -
     return X60Link(
         plan.room,
         tx,
-        max_reflection_order=config.max_reflection_order,
         snr_jitter_std_db=SNR_JITTER_STD_DB * scale,
         pdp_bin_noise_std=min(PDP_BIN_NOISE_STD * scale, 0.9),
         noise_model=NoiseModel(jitter_std_db=1.5 * scale),
@@ -360,7 +359,7 @@ def _config_fingerprint(config: DatasetBuildConfig, name: str) -> dict:
         "blockage_reps": config.blockage_reps,
         "interference_reps": config.interference_reps,
         "include_na": config.include_na,
-        "max_reflection_order": config.max_reflection_order,
+        "max_reflection_order": MAX_REFLECTION_ORDER,
         "observation_window_s": config.observation_window_s,
         "alpha": gt.alpha,
         "ba_overhead_s": gt.ba_overhead_s,

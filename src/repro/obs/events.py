@@ -147,9 +147,9 @@ class CacheEvent:
     """One cache's effectiveness snapshot at the end of a stage.
 
     ``cache`` names the cache (``"trajectory"``); ``hits``/``misses``
-    count lookups served from memory vs rebuilt, ``loaded`` counts
-    rehydrations from a checkpoint payload, ``entries`` is the live size
-    when the snapshot was taken.
+    count lookups served from memory vs built, ``entries`` is the live
+    size when the snapshot was taken.  ``loaded`` is always 0: no cache
+    is persisted any more, and the field stays so v1 traces still parse.
     """
 
     cache: str

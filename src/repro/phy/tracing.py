@@ -40,6 +40,10 @@ from repro.env.rooms import Room
 from repro.phy.channel import LinkGeometry, Ray
 from repro.phy.propagation import path_loss_db
 
+MAX_REFLECTION_ORDER = 2
+"""Bounce depth of every trace: the LOS path plus first- and second-order
+reflections.  Dataset checkpoints record it in their config fingerprint."""
+
 _MIN_RAY_GAIN_DB = -140.0
 """Rays with more than 140 dB of loss are dropped (below any noise floor)."""
 
@@ -151,16 +155,14 @@ def _los_ray(
 class TraceEngine:
     """Batched ray tracer for a fixed (room, Tx position).
 
-    ``trace(rx, blockers)`` returns every ray up to ``max_order`` bounces
-    and memoizes results per (rx, blockers) value.
+    ``trace(rx, blockers)`` returns every ray up to
+    :data:`MAX_REFLECTION_ORDER` bounces and memoizes results per
+    (rx, blockers) value.
     """
 
-    def __init__(self, room: Room, tx: Point, max_order: int = 2):
-        if max_order < 0:
-            raise ValueError("max_order must be >= 0")
+    def __init__(self, room: Room, tx: Point):
         self.room = room
         self.tx = tx
-        self.max_order = max_order
         self._ray_cache: OrderedDict[tuple, list[Ray]] = OrderedDict()
 
         reflectors = room.reflectors()
@@ -196,7 +198,7 @@ class TraceEngine:
         # Ordered wall pairs (i, j), i != j, in row-major order (wall i
         # first), with the doubly-mirrored Tx image per pair.
         n = len(reflectors)
-        if max_order >= 2 and n >= 2:
+        if n >= 2:
             pi, pj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
             keep = pi != pj
             self._pi = pi[keep].ravel()
@@ -347,7 +349,7 @@ class TraceEngine:
         ]
 
     def trace(self, rx: Point, blockers: tuple[Segment, ...] = ()) -> list[Ray]:
-        """All rays Tx→``rx`` up to ``max_order`` bounces, strongest first."""
+        """All rays Tx→``rx`` up to second order, strongest first."""
         key = ((rx.x, rx.y), _blockers_key(blockers))
         cached = self._ray_cache.get(key)
         if cached is not None:
@@ -359,10 +361,8 @@ class TraceEngine:
         if los is not None:
             rays.append(los)
         rxp = np.array([rx.x, rx.y])
-        if self.max_order >= 1:
-            rays.extend(self._first_order(rxp, blockers))
-        if self.max_order >= 2:
-            rays.extend(self._second_order(rxp, blockers))
+        rays.extend(self._first_order(rxp, blockers))
+        rays.extend(self._second_order(rxp, blockers))
         rays.sort(key=lambda r: r.loss_db)
 
         self._ray_cache[key] = rays
@@ -376,16 +376,16 @@ _ENGINE_CACHE_SIZE = 256
 _RAY_CACHE_SIZE = 1024  # per-(Rx, blockers) ray lists kept by each engine
 
 
-def engine_for(room: Room, tx: Point, max_order: int = 2) -> TraceEngine:
+def engine_for(room: Room, tx: Point) -> TraceEngine:
     """A (memoized) :class:`TraceEngine` for this room geometry + Tx pose.
 
     Keyed by *value* (room signature + Tx coordinates), so rebuilding an
     identical :class:`Room` object reuses the engine and its ray cache.
     """
-    key = (room_signature(room), (tx.x, tx.y), max_order)
+    key = (room_signature(room), (tx.x, tx.y))
     engine = _ENGINE_CACHE.get(key)
     if engine is None:
-        engine = TraceEngine(room, tx, max_order)
+        engine = TraceEngine(room, tx)
         _ENGINE_CACHE[key] = engine
         if len(_ENGINE_CACHE) > _ENGINE_CACHE_SIZE:
             _ENGINE_CACHE.popitem(last=False)
@@ -394,14 +394,14 @@ def engine_for(room: Room, tx: Point, max_order: int = 2) -> TraceEngine:
     return engine
 
 
-def trace_rays_cached(geometry: LinkGeometry, max_order: int = 2) -> list[Ray]:
-    """Trace all rays up to ``max_order`` reflections, strongest first.
+def trace_rays_cached(geometry: LinkGeometry) -> list[Ray]:
+    """Trace all rays up to :data:`MAX_REFLECTION_ORDER` reflections,
+    strongest first.
 
     Vectorized over walls/wall pairs and memoized at two levels:
     per-(room, Tx) precomputation and per-(Rx, blockers) results.
-    Raises ``ValueError`` for a negative ``max_order``.
     """
-    engine = engine_for(geometry.room, geometry.tx_position, max_order)
+    engine = engine_for(geometry.room, geometry.tx_position)
     return engine.trace(geometry.rx_position, geometry.blockers)
 
 

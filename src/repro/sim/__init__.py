@@ -3,7 +3,7 @@ generators, oracle baselines, result statistics, and the VR application."""
 
 from repro.sim.engine import SimulationConfig, FlowResult, simulate_flow, simulate_timeline
 from repro.sim.batch import BatchFlowSimulator, batch_decisions
-from repro.sim.trajectory import EntryTrajectories, TrajectoryCache, entry_fingerprint
+from repro.sim.trajectory import EntryTrajectories, TrajectoryCache
 from repro.sim.timeline import Timeline, Segment, TimelineGenerator, ScenarioType
 from repro.sim.oracle import OracleData, OracleDelay
 from repro.sim.live import LinkEvent, LiveSession
@@ -29,7 +29,6 @@ __all__ = [
     "batch_decisions",
     "EntryTrajectories",
     "TrajectoryCache",
-    "entry_fingerprint",
     "Timeline",
     "Segment",
     "TimelineGenerator",

@@ -7,8 +7,8 @@ evaluation grid all run on it.  It:
 
 * pulls the entry's point-independent trajectories (repair ladders,
   steady-rate prefix/cycle profiles, observation bits) from a
-  :class:`~repro.sim.trajectory.TrajectoryCache`, shared across operating
-  points and persistable via :mod:`repro.checkpoint`;
+  :class:`~repro.sim.trajectory.TrajectoryCache`, an in-memory memo
+  keyed by entry object and shared across operating points;
 * converts a trajectory into per-point bytes with one NumPy elementwise
   multiply and a sequential ``cumsum`` — ``cumsum`` accumulates strictly
   left-to-right, the same order as a per-frame ``+=`` loop;
@@ -63,10 +63,10 @@ class BatchFlowSimulator:
         self.config = config
         self.cache = TrajectoryCache() if cache is None else cache
         self.metrics = metrics
-        self._observations: dict[str, Observation] = {}
-        self._search_bytes: dict[tuple[str, str], float] = {}
-        self._cumsums: dict[tuple[str, str, int], np.ndarray] = {}
-        self._outcomes: dict[tuple[str, Action, float], FlowResult] = {}
+        self._observations: dict[EntryTrajectories, Observation] = {}
+        self._search_bytes: dict[tuple[EntryTrajectories, str], float] = {}
+        self._cumsums: dict[tuple[EntryTrajectories, str, int], np.ndarray] = {}
+        self._outcomes: dict[tuple[EntryTrajectories, Action, float], FlowResult] = {}
 
     # -- point-independent lookups ------------------------------------------
 
@@ -81,7 +81,7 @@ class BatchFlowSimulator:
         returns and no fresh metrics arrive.
         """
         trajectories = self.trajectories(entry)
-        observation = self._observations.get(trajectories.fingerprint)
+        observation = self._observations.get(trajectories)
         if observation is None:
             observation = Observation(
                 features=None if trajectories.ack_missing else entry.features,
@@ -90,7 +90,7 @@ class BatchFlowSimulator:
                 current_mcs_working=trajectories.working,
                 ba_overhead_s=self.config.ba_overhead_s,
             )
-            self._observations[trajectories.fingerprint] = observation
+            self._observations[trajectories] = observation
         return observation
 
     # -- per-point byte accounting ------------------------------------------
@@ -106,7 +106,7 @@ class BatchFlowSimulator:
         ``k + 1`` frames; prefixes of a longer cumsum are stable, so
         growing the memoized array never changes earlier values.
         """
-        key = (trajectories.fingerprint, pair, settled_mcs)
+        key = (trajectories, pair, settled_mcs)
         cumsum = self._cumsums.get(key)
         if cumsum is None or cumsum.size < num_frames:
             grown = max(num_frames, 0 if cumsum is None else cumsum.size)
@@ -138,7 +138,7 @@ class BatchFlowSimulator:
         return total
 
     def _ladder_search_bytes(self, trajectories: EntryTrajectories, pair: str) -> float:
-        key = (trajectories.fingerprint, pair)
+        key = (trajectories, pair)
         value = self._search_bytes.get(key)
         if value is None:
             value = trajectories.ladder(pair).search_bytes(self.config.frame_time_s)
@@ -156,7 +156,7 @@ class BatchFlowSimulator:
         scans and every policy that executes the same action.
         """
         trajectories = self.trajectories(entry)
-        key = (trajectories.fingerprint, action, duration_s)
+        key = (trajectories, action, duration_s)
         outcome = self._outcomes.get(key)
         if outcome is None:
             outcome = self._execute(trajectories, action, duration_s)

@@ -25,6 +25,7 @@ is :class:`repro.sim.batch.BatchFlowSimulator`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.ground_truth import Action
@@ -43,8 +44,16 @@ class SimulationConfig:
     frame_time_s: float = 2e-3
 
     def __post_init__(self) -> None:
-        if self.ba_overhead_s < 0 or self.frame_time_s <= 0:
-            raise ValueError("invalid overheads")
+        if not (math.isfinite(self.ba_overhead_s) and self.ba_overhead_s >= 0):
+            raise ValueError(
+                f"ba_overhead_s must be a finite number >= 0, "
+                f"got {self.ba_overhead_s!r}"
+            )
+        if not (math.isfinite(self.frame_time_s) and self.frame_time_s > 0):
+            raise ValueError(
+                f"frame_time_s must be a finite number > 0, "
+                f"got {self.frame_time_s!r}"
+            )
 
 
 @dataclass

@@ -63,20 +63,11 @@ class OperatingPoint:
     alpha: Optional[float] = None  # None → the paper's per-regime default
 
     def __post_init__(self) -> None:
-        # Mirror SimulationConfig's overhead contract, and catch the two
+        # SimulationConfig checks the overhead and frame time; catch the two
         # mistakes it cannot: a non-positive (or NaN) flow duration that
         # simulate_flow would only reject point by point deep inside run(),
         # and an out-of-range α that would silently skew every relabel.
-        if not (math.isfinite(self.ba_overhead_s) and self.ba_overhead_s >= 0):
-            raise ValueError(
-                f"ba_overhead_s must be a finite number >= 0, "
-                f"got {self.ba_overhead_s!r}"
-            )
-        if not (math.isfinite(self.frame_time_s) and self.frame_time_s > 0):
-            raise ValueError(
-                f"frame_time_s must be a finite number > 0, "
-                f"got {self.frame_time_s!r}"
-            )
+        self.simulation_config()
         if not (math.isfinite(self.flow_duration_s) and self.flow_duration_s > 0):
             raise ValueError(
                 f"flow_duration_s must be a finite number > 0, "
@@ -133,15 +124,14 @@ class EvaluationGrid:
         metrics: Optional registry; each point contributes a
             ``sweep.run_point`` span, a ``sweep.train_libra`` span per
             fresh model, and per-point progress counters/gauges.
-        trajectory_cache: Optional shared cache of point-independent entry
-            trajectories; created on the first point when absent, and
-            persisted/adopted by :meth:`run` when checkpointing.
 
     Every point replays through one
-    :class:`repro.sim.batch.BatchFlowSimulator` over the shared cache, the
-    same engine ``simulate_flow`` runs on; golden replay records in
-    ``tests/sim/`` pin its :class:`PointResult` arrays, trace events and
-    metrics.
+    :class:`repro.sim.batch.BatchFlowSimulator`, the same engine
+    ``simulate_flow`` runs on; golden replay records in ``tests/sim/``
+    pin its :class:`PointResult` arrays, trace events and metrics.  All
+    points share the grid's in-memory
+    :class:`~repro.sim.trajectory.TrajectoryCache`, so each evaluation
+    entry's trajectories are built once per grid.
     """
 
     training_dataset: Dataset
@@ -150,7 +140,9 @@ class EvaluationGrid:
     max_depth: int = 14
     random_state: int = 0
     metrics: MetricsRegistry = NULL_METRICS
-    trajectory_cache: Optional[TrajectoryCache] = field(default=None, repr=False)
+    trajectory_cache: TrajectoryCache = field(
+        default_factory=TrajectoryCache, init=False, repr=False
+    )
     _model_cache: dict = field(default_factory=dict, init=False, repr=False)
     _train_features: Optional[np.ndarray] = field(
         default=None, init=False, repr=False
@@ -235,8 +227,6 @@ class EvaluationGrid:
             policies = self.policies_for(point)
             data_oracle = OracleData(config, duration)
             delay_oracle = OracleDelay(config, duration)
-            if self.trajectory_cache is None:
-                self.trajectory_cache = TrajectoryCache()
             simulator = BatchFlowSimulator(config, self.trajectory_cache, metrics)
             entries = list(self.evaluation_dataset.without_na())
             with metrics.span("sweep.batch_decide"):
@@ -299,27 +289,12 @@ class EvaluationGrid:
         the persisted bytes — are identical at every worker count.
         Checkpoints are saved by the parent, in point order.
 
-        A checkpointed run also persists the trajectory cache (key
-        ``"trajectories"``): resuming adopts the saved payload so
-        unchanged entries skip the trajectory rebuild entirely — with
-        identical replay bytes, since payloads round-trip floats exactly.
-        Worker processes receive the adopted payloads with their grid copy
-        and send their built trajectories back; the parent unions them in
-        point order, so the persisted cache is identical at every worker
-        count (trajectories are pure functions of the entry).
+        Only point results are checkpointed (keys ``point-NNNN``).  The
+        trajectory cache lives in memory: trajectories are pure functions
+        of their entry, so a resumed run or a worker process that rebuilds
+        them replays the same bytes.
         """
         store = None if checkpoint_dir is None else CheckpointStore(checkpoint_dir)
-        if store is not None:
-            if self.trajectory_cache is None:
-                self.trajectory_cache = TrajectoryCache()
-            if resume:
-                payload = store.load("trajectories")
-                if payload is not None:
-                    staged = self.trajectory_cache.adopt_payload(payload)
-                    if self.metrics.enabled:
-                        self.metrics.counter(
-                            "sweep.trajectories_adopted"
-                        ).inc(staged)
         if self.metrics.enabled:
             self.metrics.gauge("sweep.points_total").set(len(points))
         by_index: dict[int, PointResult] = {}
@@ -339,46 +314,29 @@ class EvaluationGrid:
             ]
         else:
             task = functools.partial(_run_point_task, grid=self)
-            outcomes = parallel_map(
+            computed = parallel_map(
                 task, pending, workers=workers, metrics=self.metrics,
                 recorder=recorder,
             )
-            computed = [result for result, _ in outcomes]
-            if self.trajectory_cache is not None:
-                for _, payload in outcomes:
-                    self.trajectory_cache.merge_payload(payload)
         for (index, _), result in zip(pending, computed):
             if store is not None:
                 store.save(f"point-{index:04d}", _point_result_to_dict(result))
             by_index[index] = result
-        if store is not None and pending and self.trajectory_cache is not None:
-            payload = self.trajectory_cache.to_payload()
-            if payload["entries"]:
-                store.save("trajectories", payload)
-                if self.metrics.enabled:
-                    size = store.size_bytes("trajectories")
-                    if size is not None:
-                        self.metrics.gauge(
-                            "sweep.trajectory_ckpt_bytes"
-                        ).set(size)
         return [by_index[index] for index in range(len(points))]
 
 
 def _run_point_task(
     item: tuple[int, OperatingPoint], metrics: MetricsRegistry, recorder: TraceRecorder,
     *, grid: EvaluationGrid,
-) -> tuple[PointResult, dict]:
+) -> PointResult:
     """Runtime task: one operating point in a worker process.
 
     ``dataclasses.replace`` rebuilds the grid around the worker's own
-    registry (and a fresh model cache) without mutating the parent's.
-    Returns the worker's trajectory-cache payload alongside the result so
-    the parent can fold the built trajectories back in.
+    registry (and a fresh model cache and trajectory cache) without
+    mutating the parent's.
     """
     _, point = item
-    local = dataclasses.replace(grid, metrics=metrics)
-    result = local.run_point(point, recorder)
-    return result, local.trajectory_cache.to_payload()
+    return dataclasses.replace(grid, metrics=metrics).run_point(point, recorder)
 
 
 def _point_to_dict(point: OperatingPoint) -> dict:

@@ -80,7 +80,6 @@ class X60Link:
     codebook: Codebook = field(default_factory=sibeam_codebook)
     tx_power_dbm: float = TX_POWER_DBM
     noise_model: NoiseModel = field(default_factory=NoiseModel)
-    max_reflection_order: int = 2
     snr_jitter_std_db: float = SNR_JITTER_STD_DB
     """Std-dev of the reported (averaged) SNR reading.  Scales like
     1/sqrt(window): §7's 40 ms observation windows give ~5x the jitter of
@@ -110,16 +109,14 @@ class X60Link:
         # Memoized by (room, Tx pose, Rx pose, blockers): repeated states —
         # the clear/impaired halves of a capture, blockage reps, the SLS —
         # reuse one traced channel instead of re-running the image method.
-        rays = trace_rays_cached(geometry, self.max_reflection_order)
+        rays = trace_rays_cached(geometry)
         noise_dbm = self.noise_model.true_floor_dbm(rng)
         interference_field = None
         if interferer is not None:
             interferer_geometry = LinkGeometry(
                 self.room, interferer.position, rx.position, blocker_segments
             )
-            interferer_rays = trace_rays_cached(
-                interferer_geometry, self.max_reflection_order
-            )
+            interferer_rays = trace_rays_cached(interferer_geometry)
             if interferer_rays and operating_pair is not None:
                 clean = ChannelState(rays, noise_dbm, None, geometry)
                 tx_beam, rx_beam = operating_pair

@@ -19,6 +19,7 @@ from repro.dataset.entry import Dataset, DatasetEntry, ImpairmentKind
 from repro.core.ground_truth import Action
 from repro.core.metrics import FeatureVector
 from repro.ml.forest import RandomForestClassifier
+from repro.phy.tracing import trace_rays_cached
 from repro.testbed.traces import McsTraces
 
 
@@ -42,6 +43,15 @@ def trained_forest(main_dataset) -> RandomForestClassifier:
     model = RandomForestClassifier(n_estimators=40, max_depth=12, random_state=0)
     model.fit(main_dataset.feature_matrix(), main_dataset.labels())
     return model
+
+
+def rays_up_to(geometry, order: int) -> list:
+    """The traced rays with at most ``order`` bounces, strongest first.
+
+    The tracer lists LOS, first-order and second-order rays in that order
+    and sorts them stably by loss, so this equals a shallower trace.
+    """
+    return [ray for ray in trace_rays_cached(geometry) if ray.order <= order]
 
 
 def make_traces(throughputs, cdr_value: float = 1.0) -> McsTraces:

@@ -19,6 +19,7 @@ from repro.phy.channel import (
 )
 from repro.phy.propagation import path_loss_db
 from repro.phy.tracing import trace_rays_cached
+from tests.conftest import rays_up_to
 
 
 def empty_room(length=20.0, width=10.0, loss=6.0) -> Room:
@@ -38,7 +39,7 @@ def geometry() -> LinkGeometry:
 
 class TestLosRay:
     def test_los_properties(self, geometry):
-        rays = trace_rays_cached(geometry, max_order=0)
+        rays = rays_up_to(geometry, 0)
         assert len(rays) == 1
         los = rays[0]
         assert los.order == 0
@@ -48,13 +49,13 @@ class TestLosRay:
         assert los.loss_db == pytest.approx(path_loss_db(10.0))
 
     def test_delay_from_length(self, geometry):
-        los = trace_rays_cached(geometry, max_order=0)[0]
+        los = rays_up_to(geometry, 0)[0]
         assert los.delay_ns == pytest.approx(10.0 / 0.299792458, rel=1e-6)
 
 
 class TestFirstOrderRays:
     def test_single_bounce_path_length_is_image_distance(self, geometry):
-        rays = trace_rays_cached(geometry, max_order=1)
+        rays = rays_up_to(geometry, 1)
         south = next(r for r in rays if r.via == ("south",))
         # Image method: path length equals distance from the mirrored Tx.
         image = Point(2.0, -5.0)
@@ -63,14 +64,14 @@ class TestFirstOrderRays:
         )
 
     def test_reflection_loss_added(self, geometry):
-        rays = trace_rays_cached(geometry, max_order=1)
+        rays = rays_up_to(geometry, 1)
         south = next(r for r in rays if r.via == ("south",))
         assert south.loss_db == pytest.approx(
             path_loss_db(south.path_length_m) + 6.0
         )
 
     def test_angle_of_incidence_equals_reflection(self, geometry):
-        rays = trace_rays_cached(geometry, max_order=1)
+        rays = rays_up_to(geometry, 1)
         south = next(r for r in rays if r.via == ("south",))
         # Symmetric link: departure and arrival angles mirror each other.
         assert math.sin(math.radians(south.aod_deg)) == pytest.approx(
@@ -78,13 +79,13 @@ class TestFirstOrderRays:
         )
 
     def test_four_walls_give_four_first_order_rays(self, geometry):
-        rays = trace_rays_cached(geometry, max_order=1)
+        rays = rays_up_to(geometry, 1)
         assert sum(1 for r in rays if r.order == 1) == 4
 
 
 class TestSecondOrderRays:
     def test_second_order_rays_exist_and_are_longer(self, geometry):
-        rays = trace_rays_cached(geometry, max_order=2)
+        rays = trace_rays_cached(geometry)
         second = [r for r in rays if r.order == 2]
         first = [r for r in rays if r.order == 1]
         assert second
@@ -93,20 +94,16 @@ class TestSecondOrderRays:
         )
 
     def test_rays_sorted_by_loss(self, geometry):
-        rays = trace_rays_cached(geometry, max_order=2)
+        rays = trace_rays_cached(geometry)
         losses = [r.loss_db for r in rays]
         assert losses == sorted(losses)
-
-    def test_invalid_order_rejected(self, geometry):
-        with pytest.raises(ValueError):
-            trace_rays_cached(geometry, max_order=-1)
 
 
 class TestBlockage:
     def test_blocker_attenuates_los_only(self, geometry):
         blocker = Segment(Point(7.0, 4.5), Point(7.0, 5.5), 20.0, "human")
-        blocked = trace_rays_cached(geometry.with_blockers([blocker]), max_order=1)
-        clear = trace_rays_cached(geometry, max_order=1)
+        blocked = rays_up_to(geometry.with_blockers([blocker]), 1)
+        clear = rays_up_to(geometry, 1)
         los_blocked = next(r for r in blocked if r.order == 0)
         los_clear = next(r for r in clear if r.order == 0)
         assert los_blocked.loss_db == pytest.approx(los_clear.loss_db + 20.0)
@@ -120,8 +117,8 @@ class TestBlockage:
             Segment(Point(5.0, 4.5), Point(5.0, 5.5), 20.0, "b1"),
             Segment(Point(9.0, 4.5), Point(9.0, 5.5), 15.0, "b2"),
         ]
-        rays = trace_rays_cached(geometry.with_blockers(blockers), max_order=0)
-        clear = trace_rays_cached(geometry, max_order=0)
+        rays = rays_up_to(geometry.with_blockers(blockers), 0)
+        clear = rays_up_to(geometry, 0)
         assert rays[0].loss_db == pytest.approx(clear[0].loss_db + 35.0)
 
 
@@ -129,7 +126,7 @@ class TestReceivedPower:
     @pytest.fixture
     def setup(self, geometry):
         codebook = sibeam_codebook()
-        rays = trace_rays_cached(geometry, max_order=2)
+        rays = trace_rays_cached(geometry)
         state = ChannelState(rays, noise_dbm=-74.0, geometry=geometry)
         return codebook, rays, state
 
@@ -178,7 +175,7 @@ class TestChannelState:
         assert state.effective_noise_dbm() == -74.0
 
     def test_strongest_ray(self, geometry):
-        rays = trace_rays_cached(geometry, max_order=1)
+        rays = rays_up_to(geometry, 1)
         state = ChannelState(rays, -74.0)
         strongest = state.strongest_ray()
         assert strongest.order == 0  # LOS dominates in a clear room
@@ -191,7 +188,7 @@ class TestCorridorWaveguiding:
     def test_corridor_has_rich_multipath(self):
         corridor = make_corridor(3.2)
         geometry = LinkGeometry(corridor, Point(0.5, 1.6), Point(15.0, 1.6))
-        rays = trace_rays_cached(geometry, max_order=2)
+        rays = trace_rays_cached(geometry)
         # LOS + side/end walls + double bounces: corridors waveguide.
         assert len(rays) >= 5
         assert any(r.order == 2 for r in rays)

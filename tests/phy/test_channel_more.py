@@ -11,6 +11,7 @@ from repro.env.rooms import Room, make_corridor
 from repro.phy.channel import LinkGeometry
 from repro.phy.propagation import path_loss_db
 from repro.phy.tracing import trace_rays_cached
+from tests.conftest import rays_up_to
 
 
 def box(length=20.0, width=10.0, loss=6.0) -> Room:
@@ -28,7 +29,7 @@ class TestSecondOrderIdentity:
         room = box()
         tx, rx = Point(3.0, 4.0), Point(15.0, 7.0)
         geometry = LinkGeometry(room, tx, rx)
-        rays = trace_rays_cached(geometry, max_order=2)
+        rays = trace_rays_cached(geometry)
         south = room.walls[0]
         north = room.walls[2]
         ray = next(
@@ -41,7 +42,7 @@ class TestSecondOrderIdentity:
     def test_second_order_loss_includes_both_walls(self):
         room = box(loss=7.0)
         geometry = LinkGeometry(room, Point(3.0, 4.0), Point(15.0, 7.0))
-        rays = trace_rays_cached(geometry, max_order=2)
+        rays = trace_rays_cached(geometry)
         double = next(r for r in rays if r.order == 2)
         assert double.loss_db == pytest.approx(
             path_loss_db(double.path_length_m) + 14.0
@@ -55,10 +56,8 @@ class TestBlockedReflections:
         room = box()
         tx, rx = Point(3.0, 5.0), Point(15.0, 5.0)
         blocker = Segment(Point(14.5, 0.5), Point(14.5, 9.5), 20.0, "crowd")
-        clear = trace_rays_cached(LinkGeometry(room, tx, rx), max_order=1)
-        blocked = trace_rays_cached(
-            LinkGeometry(room, tx, rx, (blocker,)), max_order=1
-        )
+        clear = rays_up_to(LinkGeometry(room, tx, rx), 1)
+        blocked = rays_up_to(LinkGeometry(room, tx, rx, (blocker,)), 1)
         clear_total = sum(10 ** (-r.loss_db / 10) for r in clear)
         blocked_total = sum(10 ** (-r.loss_db / 10) for r in blocked)
         # Every path crosses the crowd once: total power down 20 dB (100x).
@@ -77,7 +76,7 @@ class TestBlockedReflections:
         room = box()
         tx, rx = Point(3.0, 5.0), Point(15.0, 5.0)
         torso = Segment(Point(9.0, 4.75), Point(9.0, 5.25), 22.0, "torso")
-        blocked = trace_rays_cached(LinkGeometry(room, tx, rx, (torso,)), max_order=1)
+        blocked = rays_up_to(LinkGeometry(room, tx, rx, (torso,)), 1)
         los = next(r for r in blocked if r.order == 0)
         side = next(r for r in blocked if r.order == 1)
         assert los.loss_db > path_loss_db(los.path_length_m) + 20.0
@@ -94,7 +93,7 @@ class TestCorridorAsymmetry:
         geometry = LinkGeometry(
             corridor, Point(0.5, lane), Point(15.0, lane)
         )
-        rays = trace_rays_cached(geometry, max_order=1)
+        rays = rays_up_to(geometry, 1)
         side_bounces = sorted(
             (r.path_length_m for r in rays if r.order == 1 and "side" in r.via[0])
         )
@@ -107,8 +106,8 @@ class TestCorridorAsymmetry:
         corridor = make_corridor(1.74)
         lane = 0.6
         tx = Point(0.5, lane)
-        near = trace_rays_cached(LinkGeometry(corridor, tx, Point(4.0, lane)), 1)
-        far = trace_rays_cached(LinkGeometry(corridor, tx, Point(22.0, lane)), 1)
+        near = rays_up_to(LinkGeometry(corridor, tx, Point(4.0, lane)), 1)
+        far = rays_up_to(LinkGeometry(corridor, tx, Point(22.0, lane)), 1)
 
         def max_bounce_angle(rays):
             return max(

@@ -24,6 +24,7 @@ from repro.phy import tracing
 from repro.phy.antenna import sibeam_codebook
 from repro.phy.channel import ChannelState, LinkGeometry, snr_db, snr_matrix_db
 from repro.phy.tracing import TraceEngine, engine_for, trace_rays_cached
+from tests.conftest import rays_up_to
 from tests.goldens import dumps_goldens
 
 GOLDENS_PATH = Path(__file__).with_name("tracing_goldens.json")
@@ -89,10 +90,7 @@ def ray_record(ray) -> list:
 
 
 def trace_records(geometries, max_order) -> list:
-    return [
-        [ray_record(r) for r in trace_rays_cached(g, max_order)]
-        for g in geometries
-    ]
+    return [[ray_record(r) for r in rays_up_to(g, max_order)] for g in geometries]
 
 
 def capture() -> dict:

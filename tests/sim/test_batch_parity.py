@@ -300,24 +300,6 @@ class TestFlowParity:
         warm = run_batch(RAFirstPolicy, entries, CFG, 0.2, simulator)
         assert cold == warm
 
-    def test_checkpointed_trajectories_replay_identically(self):
-        from repro.sim.trajectory import TrajectoryCache
-
-        entries = parity_entries()
-        warm_cache = TrajectoryCache()
-        reference = run_batch(
-            BAFirstPolicy, entries, CFG, 0.2, BatchFlowSimulator(CFG, warm_cache)
-        )
-        adopted = TrajectoryCache()
-        adopted.adopt_payload(warm_cache.to_payload())
-        resumed = run_batch(
-            BAFirstPolicy, entries, CFG, 0.2, BatchFlowSimulator(CFG, adopted)
-        )
-        assert reference == resumed
-        assert adopted.stats()["loaded"] == len(set(
-            e for e in adopted.to_payload()["entries"]
-        ))
-
     def test_nonpositive_duration_rejected(self):
         simulator = BatchFlowSimulator(CFG)
         entry = parity_entries()[0]
@@ -356,9 +338,9 @@ class TestGridParity:
         reference = tiny_grid().run(GRID_POINTS)
         tiny_grid().run(GRID_POINTS, checkpoint_dir=tmp_path)
         store = CheckpointStore(tmp_path)
-        assert "trajectories" in store.keys()
-        # Drop the point results but keep the trajectory cache: the resumed
-        # run replays everything from adopted trajectories.
+        assert store.keys() == ["point-0000", "point-0001"]
+        # Drop the point results: the resumed run rebuilds every trajectory
+        # and replays everything.
         store.path("point-0000").unlink()
         store.path("point-0001").unlink()
         resumed = tiny_grid().run(

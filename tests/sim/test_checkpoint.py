@@ -107,8 +107,8 @@ class TestGridResume:
         store.path("point-0001").unlink()
         resumed = tiny_grid().run(POINTS, checkpoint_dir=tmp_path, resume=True)
         assert_identical(reference, resumed)
-        # Point checkpoints re-saved, plus the batch engine's trajectory cache.
-        assert store.keys() == ["point-0000", "point-0001", "trajectories"]
+        # Only point results are checkpointed; trajectories stay in memory.
+        assert store.keys() == ["point-0000", "point-0001"]
 
     def test_mismatched_point_recomputes(self, tmp_path):
         tiny_grid().run(POINTS, checkpoint_dir=tmp_path)

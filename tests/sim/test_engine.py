@@ -135,6 +135,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(frame_time_s=0.0)
 
+    @pytest.mark.parametrize(
+        "ba_overhead_s,frame_time_s,field",
+        [
+            (float("nan"), 2e-3, "ba_overhead_s"),
+            (float("inf"), 2e-3, "ba_overhead_s"),
+            (5e-3, float("nan"), "frame_time_s"),
+            (5e-3, float("inf"), "frame_time_s"),
+            (float("inf"), float("inf"), "ba_overhead_s"),
+        ],
+    )
+    def test_non_finite_config_rejected(self, ba_overhead_s, frame_time_s, field):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            SimulationConfig(ba_overhead_s, frame_time_s)
+
     def test_flow_result_megabytes(self):
         result = FlowResult(2_500_000.0, 0.0, Action.RA, 3)
         assert result.megabytes == 2.5

@@ -21,12 +21,9 @@ class TestSweepWorkers:
 
     def test_checkpoints_saved_under_workers(self, tmp_path):
         tiny_grid().run(POINTS, checkpoint_dir=tmp_path, workers=2)
-        # Workers send their trajectory caches back, so the parent saves
-        # the merged "trajectories" checkpoint exactly as a sequential
-        # run would.
-        assert CheckpointStore(tmp_path).keys() == [
-            "point-0000", "point-0001", "trajectories"
-        ]
+        # The parent saves the point results exactly as a sequential run
+        # would; trajectories are never checkpointed.
+        assert CheckpointStore(tmp_path).keys() == ["point-0000", "point-0001"]
 
     def test_checkpoint_bytes_worker_invariant(self, tmp_path):
         seq_dir, par_dir = tmp_path / "seq", tmp_path / "par"

@@ -9,11 +9,11 @@ The §8 replay rests on three point-independent skeletons that must be
 * :func:`label_from_inputs` vs the pinned labels and delays in
   ``tests/core/label_goldens.json``.
 
-Plus the cache machinery itself: content-addressed fingerprints, exact
-payload round trips, and hit/miss/loaded accounting.
+Plus the cache machinery itself: identity keying and hit/miss accounting.
 """
 
-import numpy as np
+import pickle
+
 import pytest
 
 from repro.core.ground_truth import GroundTruthConfig
@@ -22,15 +22,11 @@ from repro.core.rate_adaptation import (
     repair_ladder,
     steady_rate_runs,
 )
-from repro.sim.trajectory import (
-    TRAJECTORY_PAYLOAD_VERSION,
-    EntryTrajectories,
-    SteadyProfile,
-    TrajectoryCache,
-    entry_fingerprint,
-)
+from repro.obs.metrics import MetricsRegistry
+from repro.sim.trajectory import TrajectoryCache
 from tests.conftest import make_entry, make_traces
 from tests.core import test_label_goldens as label_goldens
+from tests.sim.test_checkpoint import POINTS, tiny_grid
 
 # Trace shapes that exercise every steady-state regime: a rising ladder
 # (probes succeed), a cliff (probes fail, backoff grows), a plateau
@@ -72,8 +68,8 @@ class TestSteadyRateRuns:
          ("top_mcs", (5, 1)), ("low_cdr", (5, 1)), ("mid_settle", (166, 161))],
     )
     def test_split_is_the_first_recurrence(self, name, lengths):
-        # Checkpoint payloads persist the (prefix, cycle) split itself, so
-        # it is pinned, not just its expansion.
+        # The cache stores the (prefix, cycle) split itself, so it is
+        # pinned, not just its expansion.
         _, traces, settled = next(c for c in TRACE_CASES if c[0] == name)
         prefix, cycle = steady_rate_runs(traces, settled)
         assert (len(prefix), len(cycle)) == lengths
@@ -140,125 +136,39 @@ class TestLabelFromInputs:
         assert label_goldens.label_records(config) == label_goldens.load_goldens()[key]
 
 
-class TestFingerprint:
-    def test_stable_across_calls(self):
-        entry = make_entry([300, 450, 865], [300, 450, 865, 1300], 3)
-        assert entry_fingerprint(entry) == entry_fingerprint(entry)
-        assert len(entry_fingerprint(entry)) == 64  # sha256 hex
-
-    def test_identical_content_shares_a_fingerprint(self):
-        a = make_entry([300, 450, 865], [300, 450, 865, 1300], 3)
-        b = make_entry([300, 450, 865], [300, 450, 865, 1300], 3)
-        assert entry_fingerprint(a) == entry_fingerprint(b)
-
-    def test_trace_change_changes_fingerprint(self):
-        a = make_entry([300, 450, 865], [300, 450, 865, 1300], 3)
-        b = make_entry([300, 450, 866], [300, 450, 865, 1300], 3)
-        assert entry_fingerprint(a) != entry_fingerprint(b)
-
-    def test_initial_mcs_change_changes_fingerprint(self):
-        a = make_entry([300, 450, 865], [300, 450, 865, 1300], 3)
-        b = make_entry([300, 450, 865], [300, 450, 865, 1300], 2)
-        assert entry_fingerprint(a) != entry_fingerprint(b)
-
-
-class TestPayloadRoundTrip:
-    def test_steady_profile_bitwise(self):
-        for _, traces, settled in TRACE_CASES:
-            profile = SteadyProfile.build(traces, settled)
-            restored = SteadyProfile.from_payload(profile.to_payload())
-            assert np.array_equal(profile.rates(500), restored.rates(500))
-
-    def test_steady_profile_rejects_empty_cycle(self):
-        with pytest.raises(ValueError):
-            SteadyProfile.from_payload({"prefix": [], "cycle": []})
-
-    def test_entry_trajectories_bitwise(self):
-        entry = make_entry([300, 450, 865, 0, 0], [300, 450, 865, 1300], 4)
-        fingerprint = entry_fingerprint(entry)
-        built = EntryTrajectories.build(entry, fingerprint)
-        # Touch a couple of profiles so the payload carries them.
-        built.profile("same", built.ladder("same").found_mcs)
-        built.profile("best", built.ladder("best").found_mcs)
-        restored = EntryTrajectories.from_payload(
-            entry, fingerprint, built.to_payload()
-        )
-        for pair in ("same", "best"):
-            for frame_time_s in (0.5e-3, 2e-3, 10e-3):
-                assert built.ladder(pair).result(frame_time_s) == restored.ladder(
-                    pair
-                ).result(frame_time_s)
-            settled = built.ladder(pair).found_mcs
-            assert np.array_equal(
-                built.profile(pair, settled).rates(800),
-                restored.profile(pair, settled).rates(800),
-            )
-        assert built.ack_missing == restored.ack_missing
-        assert built.working == restored.working
-
-
 class TestTrajectoryCache:
     def test_hit_and_miss_accounting(self):
-        from repro.obs.metrics import MetricsRegistry
-
         metrics = MetricsRegistry()
         cache = TrajectoryCache()
         entry = make_entry([300, 450, 865], [300, 450, 865, 1300], 3)
         first = cache.get(entry, metrics)
         second = cache.get(entry, metrics)
         assert first is second
-        assert cache.stats() == {"hits": 1, "misses": 1, "loaded": 0, "entries": 1}
+        assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
         assert metrics.counter("sim.traj_cache.hits").value == 1
         assert metrics.counter("sim.traj_cache.misses").value == 1
 
-    def test_adopted_payload_counts_as_loaded(self):
-        entry = make_entry([300, 450, 865], [300, 450, 865, 1300], 3)
-        warm = TrajectoryCache()
-        warm.get(entry)
-        cold = TrajectoryCache()
-        assert cold.adopt_payload(warm.to_payload()) == 1
-        cold.get(entry)
-        assert cold.stats()["loaded"] == 1
-        assert cold.stats()["misses"] == 0
-
-    def test_malformed_payload_rebuilds(self):
-        entry = make_entry([300, 450, 865], [300, 450, 865, 1300], 3)
+    def test_keyed_by_entry_object(self):
+        a = make_entry([300, 450, 865], [300, 450, 865, 1300], 3)
+        b = make_entry([300, 450, 865], [300, 450, 865, 1300], 3)
         cache = TrajectoryCache()
-        payload = {
-            "version": TRAJECTORY_PAYLOAD_VERSION,
-            "entries": {entry_fingerprint(entry): {"garbage": True}},
-        }
-        assert cache.adopt_payload(payload) == 1
-        trajectories = cache.get(entry)  # falls back to a rebuild
-        assert trajectories.ladder("same").found_mcs is not None
-        assert cache.stats()["misses"] == 1
+        assert cache.get(a) is not cache.get(b)
+        assert cache.get(a).entry is a
+        assert cache.stats() == {"hits": 1, "misses": 2, "entries": 2}
 
-    def test_version_mismatch_adopts_nothing(self):
+    def test_pickled_cache_arrives_empty(self):
         cache = TrajectoryCache()
-        assert cache.adopt_payload({"version": 999, "entries": {"x": {}}}) == 0
-        assert cache.adopt_payload("not a dict") == 0
-
-    def test_merge_payload_unions_entries(self):
-        entry_a = make_entry([300, 450, 865], [300, 450, 865, 1300], 3)
-        entry_b = make_entry([300, 450, 0, 0], [300, 450, 865], 3)
-        cache_a, cache_b = TrajectoryCache(), TrajectoryCache()
-        cache_a.get(entry_a)
-        cache_b.get(entry_b)
-        merged = TrajectoryCache()
-        assert merged.merge_payload(cache_a.to_payload()) == 1
-        assert merged.merge_payload(cache_b.to_payload()) == 1
-        fingerprints = set(merged.to_payload()["entries"])
-        assert fingerprints == {
-            entry_fingerprint(entry_a), entry_fingerprint(entry_b)
+        cache.get(make_entry([300, 450, 865], [300, 450, 865, 1300], 3))
+        assert pickle.loads(pickle.dumps(cache)).stats() == {
+            "hits": 0, "misses": 0, "entries": 0
         }
 
-    def test_merge_payload_unions_profiles_of_one_entry(self):
-        entry = make_entry([300, 450, 865], [300, 450, 865, 1300], 3)
-        a, b = TrajectoryCache(), TrajectoryCache()
-        a.get(entry).profile("same", 2)
-        b.get(entry).profile("best", 3)
-        merged = TrajectoryCache()
-        merged.merge_payload(a.to_payload())
-        merged.merge_payload(b.to_payload())
-        payload = merged.to_payload()["entries"][entry_fingerprint(entry)]
-        assert set(payload["profiles"]) == {"same:2", "best:3"}
+    def test_grid_builds_each_entry_once_across_points(self):
+        metrics = MetricsRegistry()
+        grid = tiny_grid()
+        grid.metrics = metrics
+        grid.run(POINTS)
+        entries = list(grid.evaluation_dataset.without_na())
+        assert len(POINTS) > 1
+        assert metrics.counter("sim.traj_cache.misses").value == len(entries)
+        assert metrics.counter("sim.traj_cache.hits").value > 0

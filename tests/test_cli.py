@@ -156,6 +156,26 @@ class TestErrorExitCodes:
         truncated.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
         assert main(["evaluate", str(truncated)]) == 2
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--ba-overhead-ms", "nan", "ba_overhead_s must be a finite number"),
+            ("--ba-overhead-ms", "-1", "ba_overhead_s must be a finite number"),
+            ("--fat-ms", "inf", "frame_time_s must be a finite number"),
+            ("--fat-ms", "0", "frame_time_s must be a finite number"),
+            ("--flow-s", "nan", "--flow-s must be a finite number"),
+            ("--flow-s", "inf", "--flow-s must be a finite number"),
+            ("--flow-s", "0", "--flow-s must be a finite number"),
+        ],
+    )
+    def test_invalid_evaluate_config_exits_2(
+        self, saved_testing_dataset, capsys, flag, value, message
+    ):
+        assert main(["evaluate", str(saved_testing_dataset), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
     def test_train_missing_dataset_exits_2(self, tmp_path, capsys):
         code = main([
             "train", "/no/such.jsonl", "--model-out", str(tmp_path / "m.json"),

@@ -16,7 +16,7 @@ from repro.phy.tracing import trace_rays_cached
 from repro.sim.engine import SimulationConfig, simulate_flow
 from repro.core.policies import RAFirstPolicy
 from repro.testbed.x60 import X60Link
-from tests.conftest import make_entry
+from tests.conftest import make_entry, rays_up_to
 
 
 class TestBuildConfigValidation:
@@ -39,7 +39,7 @@ class TestDegenerateGeometry:
             [], width=4.0, length=4.0,
         )
         geometry = LinkGeometry(room, Point(2.0, 2.0), Point(2.0, 2.0001))
-        rays = trace_rays_cached(geometry, max_order=1)
+        rays = rays_up_to(geometry, 1)
         assert rays  # near-field clamp keeps the LOS finite
         assert all(math.isfinite(r.loss_db) for r in rays)
 
@@ -51,7 +51,7 @@ class TestDegenerateGeometry:
             [], width=4.0, length=4.0,
         )
         geometry = LinkGeometry(room, Point(2.0, 2.0), Point(3.999, 3.999))
-        rays = trace_rays_cached(geometry, max_order=2)
+        rays = trace_rays_cached(geometry)
         assert any(r.order == 0 for r in rays)
 
 
@@ -59,7 +59,7 @@ class TestEmptyChannel:
     def test_measurement_of_dead_channel(self):
         """A channel with no rays must produce a coherent 'dead' record."""
         room = Room("void", [], [], width=1.0, length=1.0)
-        link = X60Link(room, RadioPose(Point(0.1, 0.5), 0.0), max_reflection_order=0)
+        link = X60Link(room, RadioPose(Point(0.1, 0.5), 0.0))
         rx = RadioPose(Point(0.9, 0.5), 180.0)
         state = ChannelState([], noise_dbm=-74.0)
         measurement = link.measure(state, rx, 0, 0)

@@ -25,12 +25,11 @@ from repro.env.geometry import Point, Segment, mirror_point
 from repro.env.rooms import make_lobby
 from repro.phy.channel import LinkGeometry
 from repro.phy.error_model import best_throughput_mcs, codeword_delivery_ratio
-from repro.phy.tracing import trace_rays_cached
 from repro.sim.batch import BatchFlowSimulator
 from repro.sim.engine import SimulationConfig
 from repro.sim.vr import BandwidthProfile
 from repro.testbed.traces import McsTraces
-from tests.conftest import make_entry
+from tests.conftest import make_entry, rays_up_to
 
 # -- strategies --------------------------------------------------------------
 
@@ -157,7 +156,7 @@ class TestPhyProperties:
     def test_ray_count_and_losses_positive(self, x, y):
         room = make_lobby()
         geometry = LinkGeometry(room, Point(2.0, 6.0), Point(x, y))
-        rays = trace_rays_cached(geometry, max_order=1)
+        rays = rays_up_to(geometry, 1)
         assert rays, "lobby always has at least a LOS/reflection path"
         for ray in rays:
             assert ray.loss_db > 0
