@@ -12,9 +12,10 @@ Not in the paper — these quantify *why* each §7 design decision is there:
 import numpy as np
 import pytest
 
+from repro.constants import PROBE_BACKOFF_CAP
 from repro.core.ground_truth import Action, GroundTruthConfig
 from repro.core.libra import LiBRA, ThresholdClassifier
-from repro.core.rate_adaptation import RateAdaptation
+from repro.core.rate_adaptation import steady_rate_runs
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.metrics import accuracy_score
 from repro.sim.batch import BatchFlowSimulator
@@ -126,16 +127,18 @@ def test_ablation_probe_backoff(benchmark, record):
     def run():
         from tests.conftest import make_traces
 
+        # Every probe of the dead MCS 1 delivers nothing and MCS 0 always
+        # delivers, so the zero-rate frames are exactly the wasted probes.
         traces = make_traces([2600.0, 0.0], cdr_value=0.99)
         traces.cdr[1] = 0.0
-        adaptive = RateAdaptation(frame_time_s=2e-3)
-        fixed = RateAdaptation(frame_time_s=2e-3, probe_backoff_cap=1)
         frames = 2000
-        wasted_adaptive = sum(
-            1 for o in adaptive.frames(traces, 0, frames) if o.probing
-        )
-        wasted_fixed = sum(1 for o in fixed.frames(traces, 0, frames) if o.probing)
-        return wasted_adaptive, wasted_fixed
+
+        def wasted(cap: int) -> int:
+            prefix, cycle = steady_rate_runs(traces, 0, probe_backoff_cap=cap)
+            rates = prefix + cycle * (frames // len(cycle) + 1)
+            return sum(1 for rate in rates[:frames] if rate == 0.0)
+
+        return wasted(PROBE_BACKOFF_CAP), wasted(1)
 
     wasted_adaptive, wasted_fixed = benchmark.pedantic(run, rounds=1, iterations=1)
     record("ablation_probe_backoff", [

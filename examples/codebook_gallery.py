@@ -25,7 +25,7 @@ def main() -> None:
     for line in codebook_gallery(codebook, width=72):
         print(line)
 
-    peaks = [beam.gain_dbi(beam.steering_deg) for beam in codebook]
+    peaks = [float(beam.gain_dbi_array(beam.steering_deg)[0]) for beam in codebook]
     print(
         f"\nrealised peak gains: {min(peaks):.1f} .. {max(peaks):.1f} dBi "
         f"(spread {max(peaks) - min(peaks):.1f} dB)"

@@ -28,7 +28,6 @@ from repro.core import (
     LiBRA,
     LinkAdaptationPolicy,
     RAFirstPolicy,
-    RateAdaptation,
     X60_MCS_SET,
     AD_MCS_SET,
     compute_features,
@@ -74,7 +73,6 @@ __all__ = [
     "LiBRA",
     "LinkAdaptationPolicy",
     "RAFirstPolicy",
-    "RateAdaptation",
     "X60_MCS_SET",
     "AD_MCS_SET",
     "compute_features",

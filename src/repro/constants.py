@@ -137,8 +137,9 @@ MISSING_ACK_MCS_THRESHOLD = 6
 PROBE_INTERVAL_MIN_FRAMES = 5
 """T0 — the minimum probing interval of the RA algorithm (§7): 5 frames."""
 
-PROBE_BACKOFF_CAP = 2 ** 5
-"""Adaptive probe interval T = T0 · min(2^k, 2^5) (§7)."""
+PROBE_BACKOFF_CAP = 32
+"""The 2^5 cap of the adaptive probe interval T = T0 · min(2^k, 2^5) (§7);
+:func:`repro.core.rate_adaptation.probe_interval` applies it."""
 
 DECISION_PERIOD_FRAMES = 2
 """LiBRA makes decisions every 2 frames using two 20 ms windows (§7)."""

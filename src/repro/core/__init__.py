@@ -13,7 +13,6 @@ from repro.core.ground_truth import (
     max_delay_s,
     label_entry,
 )
-from repro.core.rate_adaptation import RateAdaptation, RAResult
 from repro.core.policies import (
     LinkAdaptationPolicy,
     RAFirstPolicy,
@@ -25,7 +24,6 @@ from repro.core.observation import (
     FrameFeedback,
     MetricWindow,
     WindowSnapshot,
-    features_between,
 )
 from repro.core.history import BlockagePatternLearner
 
@@ -45,8 +43,6 @@ __all__ = [
     "utility",
     "max_delay_s",
     "label_entry",
-    "RateAdaptation",
-    "RAResult",
     "LinkAdaptationPolicy",
     "RAFirstPolicy",
     "BAFirstPolicy",
@@ -55,6 +51,5 @@ __all__ = [
     "FrameFeedback",
     "MetricWindow",
     "WindowSnapshot",
-    "features_between",
     "BlockagePatternLearner",
 ]

@@ -123,12 +123,28 @@ def compute_features(
     initial_mcs = initial.best_mcs()
     if initial_mcs is None:
         raise ValueError("initial state has no working MCS")
+    return feature_deltas(
+        initial, current_same_pair, float(current_same_pair.cdr[initial_mcs]), initial_mcs
+    )
+
+
+def feature_deltas(before, after, cdr: float, mcs: int) -> FeatureVector:
+    """The §6.1 feature deltas between two views of one beam pair.
+
+    ``before`` and ``after`` are anything with ``snr_db``, ``tof_ns``,
+    ``noise_dbm`` and ``pdp``: the campaign's :class:`StateMeasurement`
+    pair (initial state, current state) or the live loop's two consecutive
+    :class:`~repro.core.observation.WindowSnapshot` windows, where the
+    previous window plays the initial state.  ``cdr`` and ``mcs`` are the
+    reported CDR and MCS: in the campaign, the current CDR at the initial
+    best MCS and that MCS; live, the window's CDR and the MCS in use.
+    """
     return FeatureVector(
-        snr_diff_db=initial.snr_db - current_same_pair.snr_db,
-        tof_diff_ns=tof_difference_ns(initial.tof_ns, current_same_pair.tof_ns),
-        noise_diff_db=current_same_pair.noise_dbm - initial.noise_dbm,
-        pdp_similarity=pdp_similarity(initial.pdp, current_same_pair.pdp),
-        csi_similarity=csi_similarity(initial.pdp, current_same_pair.pdp),
-        cdr=float(current_same_pair.cdr[initial_mcs]),
-        initial_mcs=initial_mcs,
+        snr_diff_db=before.snr_db - after.snr_db,
+        tof_diff_ns=tof_difference_ns(before.tof_ns, after.tof_ns),
+        noise_diff_db=after.noise_dbm - before.noise_dbm,
+        pdp_similarity=pdp_similarity(before.pdp, after.pdp),
+        csi_similarity=csi_similarity(before.pdp, after.pdp),
+        cdr=cdr,
+        initial_mcs=mcs,
     )

@@ -4,8 +4,10 @@ LiBRA makes a decision every two frames by comparing the metrics averaged
 over the *current* observation window against the *previous* window
 (Algorithm 1's ``updateMetrics(frameID, frameID-1)`` /
 ``classifyBaRaNa(metrics, prev_metrics)``).  This module turns per-frame
-ACK feedback into those windowed snapshots and into the
-:class:`~repro.core.metrics.FeatureVector` the classifier consumes.
+ACK feedback into those windowed snapshots; the live loop turns two
+consecutive snapshots into the classifier's
+:class:`~repro.core.metrics.FeatureVector` with
+:func:`~repro.core.metrics.feature_deltas`.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-
-from repro.core.metrics import FeatureVector, tof_difference_ns
-from repro.phy.pdp import csi_similarity, pdp_similarity
 
 
 @dataclass(frozen=True)
@@ -202,22 +201,3 @@ def feedback_rejection(
         return "PDP contains negative power bins"
     return None
 
-
-def features_between(
-    previous: WindowSnapshot, current: WindowSnapshot, current_mcs: int
-) -> FeatureVector:
-    """The §6.1 feature deltas between two consecutive windows.
-
-    ``previous`` plays the paper's "initial state", ``current`` the "new
-    state"; ``current_mcs`` stands in for the initial best MCS (the MCS in
-    use when the window closed).
-    """
-    return FeatureVector(
-        snr_diff_db=previous.snr_db - current.snr_db,
-        tof_diff_ns=tof_difference_ns(previous.tof_ns, current.tof_ns),
-        noise_diff_db=current.noise_dbm - previous.noise_dbm,
-        pdp_similarity=pdp_similarity(previous.pdp, current.pdp),
-        csi_similarity=csi_similarity(previous.pdp, current.pdp),
-        cdr=current.cdr,
-        initial_mcs=current_mcs,
-    )

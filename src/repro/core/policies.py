@@ -80,14 +80,16 @@ class PolicyDecision:
 class LinkAdaptationPolicy(abc.ABC):
     """Base class for all decision policies.
 
-    Policies whose decisions are pure per-observation functions may expose
-    an optional ``decide_batch(observations) -> list[PolicyDecision]``; the
-    batched evaluation engine uses it — when defined on the policy's own
-    class, never reached through delegation wrappers — to amortize model
-    inference across a whole entry list.  The base class deliberately does
-    not define it: stateful or fault-wrapped policies must keep the
-    sequential per-observation path so call order (and any injected
-    randomness) matches a per-flow replay exactly.
+    A policy may expose an optional
+    ``decide_batch(observations) -> list[PolicyDecision]``; the batched
+    evaluation engine uses it — when defined on the policy's own class,
+    never reached through delegation wrappers — to amortize model
+    inference across a whole entry list.  LiBRA is the one policy that
+    batches: the heuristics are cheap per observation and take the
+    engine's sequential path.  The base class deliberately does not define
+    it: stateful or fault-wrapped policies must keep the sequential
+    per-observation path so call order (and any injected randomness)
+    matches a per-flow replay exactly.
     """
 
     name: str = "policy"
@@ -119,13 +121,6 @@ def decide_or_degrade(
         )
 
 
-def _decide_each(
-    policy: LinkAdaptationPolicy, observations: list[Observation]
-) -> list[PolicyDecision]:
-    """Batch façade for stateless policies: decide one by one, in order."""
-    return [policy.decide(observation) for observation in observations]
-
-
 class RAFirstPolicy(LinkAdaptationPolicy):
     """Trigger RA whenever the current MCS stops working (COTS behaviour).
 
@@ -141,9 +136,6 @@ class RAFirstPolicy(LinkAdaptationPolicy):
             return PolicyDecision(Action.RA, "link degraded: COTS devices try rates first")
         return PolicyDecision(Action.NA, "current MCS still working")
 
-    def decide_batch(self, observations: list[Observation]) -> list[PolicyDecision]:
-        return _decide_each(self, observations)
-
 
 class BAFirstPolicy(LinkAdaptationPolicy):
     """Trigger BA (then RA) whenever the current MCS stops working ([14])."""
@@ -154,9 +146,6 @@ class BAFirstPolicy(LinkAdaptationPolicy):
         if observation.ack_missing or not observation.current_mcs_working:
             return PolicyDecision(Action.BA, "link degraded: sweep first per [14]")
         return PolicyDecision(Action.NA, "current MCS still working")
-
-    def decide_batch(self, observations: list[Observation]) -> list[PolicyDecision]:
-        return _decide_each(self, observations)
 
 
 class StaticPolicy(LinkAdaptationPolicy):

@@ -1,39 +1,39 @@
 """Frame-based rate adaptation (§7, Algorithm 1's RA pieces).
 
-Two responsibilities:
+This module is the one §7 RA machine; the §8 replay, the live loop, the
+§5.2 ground truth and the probe-backoff ablation all run on it.
 
-1. **Link repair** (:func:`repair_ladder`, behind
-   :meth:`RateAdaptation.repair`): starting from the MCS in use, probe
-   downward one aggregated frame per MCS until the first *working* MCS
-   appears, then settle on the best-throughput working MCS found along the
+1. **Link repair** (:func:`repair_ladder`): starting from the MCS in use,
+   probe downward one aggregated data frame per MCS while the throughput
+   keeps improving, and settle on the best working MCS found along the
    way.  If nothing works, the caller falls back to BA followed by another
    scan.  :func:`first_working_descending` is the §5.2 ground truth's
-   scan, which stops at the first working MCS.  The replay, the live loop
-   and the ground truth all scan through these two.
+   scan, which stops at the first working MCS.
 
-2. **Upward probing** (:meth:`RateAdaptation.frames`): once settled, probe
-   the next-higher MCS whenever the recent CDR clears an opportunistic
-   threshold (inspired by RRAA's ORI rule), with an adaptive probing
-   interval ``T = T0 · min(2^k, 2^5)`` where ``k`` counts consecutive
-   failed probes (inspired by MiRA) — §7's exact construction.
+2. **Upward probing** (:func:`steady_rate_runs`): once settled, probe the
+   next-higher MCS whenever the CDR clears an opportunistic threshold
+   (:func:`cdr_ori_threshold`, inspired by RRAA's ORI rule), with the
+   adaptive probing interval of :func:`probe_interval`,
+   ``T = T0 · min(2^k, 2^5)`` where ``k`` counts consecutive failed
+   probes (inspired by MiRA) — §7's exact construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.constants import (
     PROBE_BACKOFF_CAP,
     PROBE_INTERVAL_MIN_FRAMES,
     X60_NUM_MCS,
 )
-from repro.core.mcs import X60_MCS_SET, MCSSet
+from repro.core.mcs import X60_MCS_SET
 from repro.phy.error_model import is_working
 from repro.testbed.traces import McsTraces, StateMeasurement
 
 
-def cdr_ori_threshold(mcs: int, mcs_set: MCSSet = X60_MCS_SET) -> float:
+def cdr_ori_threshold(mcs: int) -> float:
     """Opportunistic-rate-increase threshold for probing ``mcs + 1``.
 
     Probing the next MCS is worthwhile only if the goodput it could reach
@@ -42,45 +42,32 @@ def cdr_ori_threshold(mcs: int, mcs_set: MCSSet = X60_MCS_SET) -> float:
     inverted — i.e. CDR_ORI = 0.9 · rate(mcs) / rate(mcs+1) is the break-
     even point (following the spirit of RRAA's P_ORI).
     """
-    if mcs >= len(mcs_set) - 1:
+    if mcs >= X60_NUM_MCS - 1:
         return float("inf")  # no higher MCS to probe
-    return 0.9 * mcs_set.rate_mbps(mcs) / mcs_set.rate_mbps(mcs + 1)
+    return 0.9 * X60_MCS_SET.rate_mbps(mcs) / X60_MCS_SET.rate_mbps(mcs + 1)
 
 
-@dataclass
-class RAResult:
-    """Outcome of one repair round."""
-
-    found_mcs: Optional[int]
-    frames_spent: int
-    bytes_during_search: float
-    settled_throughput_mbps: float
-
-    @property
-    def failed(self) -> bool:
-        return self.found_mcs is None
-
-
-@dataclass
-class FrameOutcome:
-    """One simulated frame after the link has settled."""
-
-    mcs: int
-    throughput_mbps: float
-    probing: bool
+def probe_interval(failed_probes: int, cap: int = PROBE_BACKOFF_CAP) -> int:
+    """Frames between upward probes after ``failed_probes`` failures in a
+    row: ``T = T0 · min(2^k, cap)``; a successful probe resets ``k``."""
+    return PROBE_INTERVAL_MIN_FRAMES * min(2 ** failed_probes, cap)
 
 
 @dataclass(frozen=True)
 class RepairLadder:
-    """The point-independent skeleton of one :meth:`RateAdaptation.repair`.
+    """One Algorithm 1 RA() repair round, recorded as its ladder.
 
-    A repair round's *trajectory* — which MCSs it probes, where it settles,
-    how many frames it burns — depends only on the traces and the starting
-    MCS, never on the frame aggregation time.  The batched evaluation path
-    computes the ladder once per (entry, pair) and converts it into an
-    :class:`RAResult` per operating point with :meth:`search_bytes`, whose
-    accumulation order matches ``repair()`` term for term so the bytes are
-    bit-identical.
+    The scan descends from ``start_mcs`` while the measured throughput
+    keeps improving; when a probe drops below the best seen so far, RA
+    settles at the best *working* MCS probed (``found_mcs``), or fails with
+    ``None`` — the caller then falls back to BA and a second scan.  Each
+    probed MCS costs one frame, which still delivers data at that MCS's
+    throughput (RA probes with *data* frames, the reason its recovery
+    throughput is "suboptimal but not necessarily 0", §5.2).
+
+    The ladder depends only on the traces and the starting MCS, never on
+    the frame aggregation time, so it is computed once per (entry, pair)
+    and priced per operating point by :meth:`search_bytes`.
     """
 
     start_mcs: int
@@ -94,29 +81,23 @@ class RepairLadder:
         return self.found_mcs is None
 
     def search_bytes(self, frame_time_s: float) -> float:
-        """Data delivered by the probe frames at one frame time."""
+        """Data delivered by the probe frames at one frame time, summed
+        frame by frame in probe order."""
         total = 0.0
         for tput in self.probed_throughputs_mbps:
             total += tput * 1e6 / 8.0 * frame_time_s
         return total
 
-    def result(self, frame_time_s: float) -> RAResult:
-        return RAResult(
-            self.found_mcs,
-            self.frames_spent,
-            self.search_bytes(frame_time_s),
-            self.settled_throughput_mbps,
-        )
-
 
 def repair_ladder(
     traces: McsTraces, start_mcs: int, initial_throughput_mbps: float = 0.0
 ) -> RepairLadder:
-    """Run Algorithm 1's RA() scan and record its ladder.
+    """Run Algorithm 1's RA() scan from ``start_mcs`` and record its ladder.
 
-    The scan behind :meth:`RateAdaptation.repair`, minus the per-point
-    byte accounting: the probed-MCS sequence and the settling decision are
-    frame-time-free.
+    ``initial_throughput_mbps`` is the best throughput already known: 0 for
+    a fresh repair, which must probe one MCS below a still-working current
+    MCS to see the downturn; the current throughput for
+    ``RA(curr_mcs - 1, curr_tput)``, which stops at the first worse probe.
     """
     if not 0 <= start_mcs < X60_NUM_MCS:
         raise ValueError(f"start_mcs {start_mcs} out of range")
@@ -163,55 +144,51 @@ only move up eight times)."""
 def steady_rate_runs(
     traces: McsTraces,
     settled_mcs: int,
-    mcs_set: Optional[MCSSet] = None,
-    probe_interval_min: int = PROBE_INTERVAL_MIN_FRAMES,
     probe_backoff_cap: int = PROBE_BACKOFF_CAP,
 ) -> tuple[list[float], list[float]]:
-    """The per-frame throughput sequence of :meth:`RateAdaptation.frames`,
-    compressed to ``(transient_prefix, repeating_cycle)``.
+    """§7 upward probing after RA settles at ``settled_mcs``, as the
+    per-frame throughputs ``(transient_prefix, repeating_cycle)``.
 
-    The steady-state dynamics are eventually periodic: the probe interval
-    saturates at ``T0 · cap``, the current MCS is monotone non-decreasing,
-    and within one trace the per-MCS values never change — so the machine
-    state ``(current, interval, since_probe, backoff)`` must recur.  The
-    first recurrence splits the emitted rates into a transient prefix and
-    a cycle; frame ``i``'s rate is ``prefix[i]`` while ``i < len(prefix)``
-    and ``cycle[(i - len(prefix)) % len(cycle)]`` after, reproducing the
-    generator's output exactly for any horizon.
+    The machine, frame by frame: a frame at the current MCS advances a
+    probe counter; once the counter reaches the interval ``T`` and the
+    current CDR clears :func:`cdr_ori_threshold`, the next frame is a probe
+    at ``current + 1`` and resets the counter.  A probe whose throughput
+    beats the current MCS's moves the link up and resets ``T`` to ``T0``;
+    a failed one increments ``k`` in ``T = probe_interval(k, cap)``.  The
+    paper's cap is ``2^5``; the probe-backoff ablation runs cap 1 (fixed
+    ``T0``).
+
+    The dynamics are eventually periodic: the interval saturates at
+    ``T0 · cap``, the current MCS never goes down, and within one trace the
+    per-MCS values never change, so the state ``(current, T)`` must recur.
+    The first recurrence splits the emitted rates into a transient prefix
+    and a cycle: frame ``i``'s rate is ``prefix[i]`` while
+    ``i < len(prefix)`` and ``cycle[(i - len(prefix)) % len(cycle)]``
+    after, for any horizon.
 
     The search steps one probe interval at a time.  Every interval starts
-    at ``since_probe = 0`` and sends ``interval`` frames at the current
-    rate before the probe gate is checked, so a state can first recur only
-    at the start of an interval — or, when the gate stays closed (top MCS,
-    or CDR under the ORI threshold), at the frame after the interval,
-    where ``since_probe`` no longer changes behaviour.
+    with the counter at 0 and sends ``T`` frames at the current rate
+    before the probe gate is checked, so a state can first recur only at
+    the start of an interval — or, when the gate stays closed (top MCS, or
+    CDR under the ORI threshold), at the frame after the interval, where
+    the counter no longer changes behaviour.
     """
-    mcs_set = X60_MCS_SET if mcs_set is None else mcs_set
-    top = len(mcs_set) - 1
     throughputs = [float(v) for v in traces.throughput_mbps]
-    # Whether the probe gate can open at each MCS — a higher MCS exists and
-    # the CDR clears its ORI threshold; both are fixed within one trace.
+    # Whether the probe gate can open at each MCS: the CDR clears the ORI
+    # threshold (infinite at the top MCS); both are fixed within one trace.
     can_probe = [
-        bool(mcs < top and traces.cdr[mcs] > cdr_ori_threshold(mcs, mcs_set))
-        for mcs in range(len(throughputs))
+        bool(traces.cdr[mcs] > cdr_ori_threshold(mcs)) for mcs in range(len(throughputs))
     ]
-
-    def backoff_state(failed_probes: int) -> int:
-        # Once the backoff saturates the failure count no longer matters.
-        backoff = min(2 ** failed_probes, probe_backoff_cap)
-        return backoff if backoff < probe_backoff_cap else -1
-
     rates: list[float] = []
-    seen: dict[tuple, int] = {}
+    seen: dict[tuple[int, int], int] = {}
     current = settled_mcs
     failed_probes = 0
-    interval = probe_interval_min
     while len(rates) <= _STEADY_RUNS_MAX_FRAMES:
-        state = (current, interval, backoff_state(failed_probes))
-        start = seen.get(state)
+        interval = probe_interval(failed_probes, probe_backoff_cap)
+        start = seen.get((current, interval))
         if start is not None:
             return rates[:start], rates[start:]
-        seen[state] = len(rates)
+        seen[(current, interval)] = len(rates)
         rates.extend([throughputs[current]] * interval)
         if not can_probe[current]:
             start = len(rates)
@@ -222,80 +199,6 @@ def steady_rate_runs(
         if throughputs[higher] > throughputs[current]:
             current = higher
             failed_probes = 0
-            interval = probe_interval_min
         else:
             failed_probes += 1
-            interval = probe_interval_min * min(2 ** failed_probes, probe_backoff_cap)
     raise RuntimeError("steady-state dynamics failed to recur")  # pragma: no cover
-
-
-@dataclass
-class RateAdaptation:
-    """The §7 RA algorithm over recorded per-MCS traces.
-
-    The trace-driven design mirrors the paper's evaluation: within one
-    (state, beam pair) the per-MCS CDR/throughput values are stationary,
-    so the algorithm's dynamics reduce to which MCS it transmits at each
-    frame and how often it wastes frames probing.
-    """
-
-    frame_time_s: float
-    mcs_set: MCSSet = field(default_factory=lambda: X60_MCS_SET)
-    probe_interval_min: int = PROBE_INTERVAL_MIN_FRAMES
-    probe_backoff_cap: int = PROBE_BACKOFF_CAP
-
-    def repair(
-        self, traces: McsTraces, start_mcs: int, initial_throughput_mbps: float = 0.0
-    ) -> RAResult:
-        """Probe downward from ``start_mcs`` per Algorithm 1's RA().
-
-        The scan descends while the measured throughput keeps improving;
-        when it drops below the best seen so far, RA settles at the
-        previous (best) MCS if that MCS is working.  Each probed MCS costs
-        one frame which still delivers data at that MCS's observed
-        throughput (RA uses *data* frames — the reason its recovery
-        throughput is "suboptimal but not necessarily 0", §5.2).  A failed
-        repair (no working MCS anywhere) returns ``found_mcs=None``; the
-        caller falls back to BA + a second RA round.
-        """
-        return repair_ladder(traces, start_mcs, initial_throughput_mbps).result(
-            self.frame_time_s
-        )
-
-    def frames(
-        self, traces: McsTraces, settled_mcs: int, num_frames: int
-    ) -> Iterator[FrameOutcome]:
-        """Simulate ``num_frames`` frames of steady-state operation.
-
-        Upward probes fire every T frames; a probe transmits one frame at
-        ``mcs+1``.  A failed probe (lower throughput than the settled MCS)
-        doubles T up to the cap; a successful one moves the settled MCS up
-        and resets T.
-        """
-        current = settled_mcs
-        failed_probes = 0
-        interval = self.probe_interval_min
-        since_probe = 0
-        for _ in range(num_frames):
-            probe_now = (
-                current < len(self.mcs_set) - 1
-                and since_probe >= interval
-                and traces.cdr[current] > cdr_ori_threshold(current, self.mcs_set)
-            )
-            if probe_now:
-                higher = current + 1
-                tput_higher = float(traces.throughput_mbps[higher])
-                yield FrameOutcome(higher, tput_higher, probing=True)
-                since_probe = 0
-                if tput_higher > float(traces.throughput_mbps[current]):
-                    current = higher
-                    failed_probes = 0
-                    interval = self.probe_interval_min
-                else:
-                    failed_probes += 1
-                    interval = self.probe_interval_min * min(
-                        2 ** failed_probes, self.probe_backoff_cap
-                    )
-            else:
-                yield FrameOutcome(current, float(traces.throughput_mbps[current]), False)
-                since_probe += 1

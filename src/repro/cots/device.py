@@ -120,12 +120,6 @@ class SessionLog:
             1 for a, b in zip(self.sectors, self.sectors[1:]) if a != b
         )
 
-    def event_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.event] = counts.get(event.event, 0) + 1
-        return counts
-
 
 class CotsDevice:
     """A COTS transmitter driving a live emulated channel.

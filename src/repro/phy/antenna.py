@@ -81,36 +81,6 @@ class Beam:
     ripple_period_deg: float = 24.0
     ripple_phase_rad: float = 0.0
 
-    def _ripple_db(self, angle_deg: float) -> float:
-        if self.ripple_amp_db == 0.0:
-            return 0.0
-        return self.ripple_amp_db * math.sin(
-            2.0 * math.pi * angle_deg / self.ripple_period_deg + self.ripple_phase_rad
-        )
-
-    def gain_dbi(self, angle_deg: float) -> float:
-        """Directivity gain toward ``angle_deg`` (relative to array boresight)."""
-        total = 10.0 ** (SIDE_LOBE_FLOOR_DBI / 10.0)
-        total += self._lobe_power(angle_deg, self.steering_deg, self.beamwidth_deg, 0.0)
-        for lobe in self.side_lobes:
-            total += self._lobe_power(
-                angle_deg,
-                self.steering_deg + lobe.offset_deg,
-                lobe.width_deg,
-                lobe.level_db,
-            )
-        return 10.0 * math.log10(total) + self._ripple_db(angle_deg)
-
-    def _lobe_power(
-        self, angle_deg: float, centre_deg: float, width_deg: float, level_db: float
-    ) -> float:
-        """Linear power of one Gaussian lobe evaluated at ``angle_deg``."""
-        delta = _wrap_deg(angle_deg - centre_deg)
-        # Gaussian with the -3 dB point at width/2:  exp(-ln2 * (2d/w)^2)
-        exponent = -math.log(2.0) * (2.0 * delta / width_deg) ** 2
-        peak_db = self.peak_gain_dbi + level_db
-        return 10.0 ** (peak_db / 10.0) * math.exp(exponent)
-
     def _lobe_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-lobe (centers, widths, linear peaks), main lobe first.
 
@@ -135,11 +105,14 @@ class Beam:
         return cached
 
     def gain_dbi_array(self, angles_deg: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`gain_dbi` over an array of angles.
+        """Directivity gain toward each of ``angles_deg`` (relative to array
+        boresight), in dBi.
 
         All lobes are evaluated in one (lobes, angles) broadcast, then
-        accumulated in the same main-then-side-lobes order as
-        :meth:`gain_dbi` so values match the scalar path bit for bit.
+        accumulated main lobe first, side lobes after, over the floor.
+        The values are *not* bit-identical to this beam's row of
+        :meth:`Codebook.gain_matrix_dbi`: the two evaluations round
+        differently in the last ulp for about 2 % of (beam, angle) samples.
         """
         angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
         centers, widths, peaks_lin = self._lobe_columns()
@@ -210,16 +183,18 @@ class Codebook:
         This is the workhorse of the vectorised sector sweep: one call per
         antenna covers all 25 beams x all rays.  Computed columnar over the
         precomputed lobe arrays — one broadcast per lobe slot, accumulated
-        in the same order as :meth:`Beam.gain_dbi_array`, so the values are
-        bit-identical to the per-beam path.
+        in the same order as :meth:`Beam.gain_dbi_array`.  The rows still
+        match that per-beam path only to rounding: about 2 % of (beam,
+        angle) values differ in the last ulp (a few 1e-15 dB).  Making
+        them agree changes output bytes, so it waits for a deliberate
+        regeneration of every artifact (ROADMAP.md).
         """
         angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
         centers, widths, peaks_lin, ripple_amp, ripple_period, ripple_phase = (
             self._pattern_arrays()
         )
         # One (beams, slots, angles) broadcast evaluates every lobe at once;
-        # the slot-order accumulation loop is kept so the floating-point sum
-        # matches the per-beam path exactly.
+        # the sum runs slot by slot, in the per-beam path's lobe order.
         delta = (
             np.mod(angles[None, None, :] - centers[:, :, None] + 180.0, 360.0) - 180.0
         )

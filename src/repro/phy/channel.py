@@ -218,7 +218,10 @@ def snr_matrix_db(
     grx_dbi = gm[:, aod.size:]  # (n, R)
     # Stash the per-(beam, ray) gain rows: a subsequent measure() of any
     # beam pair on this state reuses them instead of re-evaluating the
-    # patterns (rows are bit-identical to Beam.gain_dbi_array output).
+    # patterns.  The rows are NOT bit-identical to Beam.gain_dbi_array
+    # (they differ in the last ulp for some angles), so measuring a swept
+    # state can differ from measuring it unswept; the fix, measuring from
+    # one per-state gain table, changes bytes (ROADMAP.md).
     state.extra_fields["_pair_gains"] = (
         tx_orientation_deg, rx_orientation_deg, gtx_dbi, grx_dbi, loss
     )

@@ -24,8 +24,6 @@ import numpy as np
 from repro.constants import (
     DEAD_LINK_CDR,
     DECISION_PERIOD_FRAMES,
-    PROBE_BACKOFF_CAP,
-    PROBE_INTERVAL_MIN_FRAMES,
     X60_NUM_MCS,
 )
 from repro.core.ground_truth import Action
@@ -34,13 +32,14 @@ from repro.core.observation import (
     MetricWindow,
     WindowSnapshot,
     feedback_rejection,
-    features_between,
 )
 from repro.core.history import BlockagePatternLearner
+from repro.core.metrics import feature_deltas
 from repro.core.policies import LinkAdaptationPolicy, Observation, decide_or_degrade
 from repro.core.rate_adaptation import (
     cdr_ori_threshold,
     first_working_descending,
+    probe_interval,
     repair_ladder,
 )
 from repro.env.placement import RadioPose
@@ -184,7 +183,6 @@ class LiveSession:
         self.window = MetricWindow(DECISION_PERIOD_FRAMES, max_age_s=metric_staleness_s)
         self.previous_snapshot: Optional[WindowSnapshot] = None
         # §7 upward probing state.
-        self._probe_interval = PROBE_INTERVAL_MIN_FRAMES
         self._since_probe = 0
         self._failed_probes = 0
         self.pattern_learner = pattern_learner
@@ -346,7 +344,10 @@ class LiveSession:
     def _maybe_probe_up(self, feedback: FrameFeedback) -> None:
         """§7 upward probing with the adaptive interval."""
         self._since_probe += 1
-        if self.mcs >= X60_NUM_MCS - 1 or self._since_probe < self._probe_interval:
+        if (
+            self.mcs >= X60_NUM_MCS - 1
+            or self._since_probe < probe_interval(self._failed_probes)
+        ):
             return
         if feedback.cdr <= cdr_ori_threshold(self.mcs):
             return
@@ -356,12 +357,8 @@ class LiveSession:
         if measurement.throughput_mbps[higher] > measurement.throughput_mbps[self.mcs]:
             self.mcs = higher
             self._failed_probes = 0
-            self._probe_interval = PROBE_INTERVAL_MIN_FRAMES
         else:
             self._failed_probes += 1
-            self._probe_interval = PROBE_INTERVAL_MIN_FRAMES * min(
-                2 ** self._failed_probes, PROBE_BACKOFF_CAP
-            )
 
     def _execute(
         self, action: Action, log: SessionLog, recorder: TraceRecorder, clock: float
@@ -484,7 +481,9 @@ class LiveSession:
             if self.previous_snapshot is None:
                 self.previous_snapshot = snapshot
                 continue
-            features = features_between(self.previous_snapshot, snapshot, self.mcs)
+            features = feature_deltas(
+                self.previous_snapshot, snapshot, snapshot.cdr, self.mcs
+            )
             self.previous_snapshot = snapshot
             observation = Observation(
                 features=features,

@@ -208,8 +208,14 @@ class X60Link:
         """Per-ray received powers (dBm) for one beam pair.
 
         Reuses the per-(beam, ray) gain rows a sector sweep cached on the
-        state when available (bit-identical values), falling back to a
-        direct evaluation otherwise.
+        state when available, falling back to a direct evaluation
+        otherwise.  The two are *not* bit-identical: the cached rows differ
+        from :meth:`~repro.phy.antenna.Beam.gain_dbi_array` in the last ulp
+        for some angles, so :meth:`measure` on a state that was swept first
+        can return a different true SNR, PDP and CDR than on the same state
+        unswept.  Measuring from one per-state gain table fixes this but
+        changes output bytes, so it waits for a deliberate regeneration
+        (ROADMAP.md).
         """
         cached = state.extra_fields.get("_pair_gains")
         if cached is not None:

@@ -11,8 +11,8 @@ from repro.core.observation import (
     MetricWindow,
     WindowSnapshot,
     feedback_rejection,
-    features_between,
 )
+from repro.core.metrics import feature_deltas
 
 
 def feedback(snr=20.0, noise=-73.0, tof=30.0, cdr=0.95, peak=0) -> FrameFeedback:
@@ -76,6 +76,9 @@ class TestMetricWindow:
 
 
 class TestFeaturesBetween:
+    """The live loop's §6.1 features: :func:`feature_deltas` between two
+    consecutive windows, with the current window's CDR and the MCS in use."""
+
     def _snapshot(self, snr=20.0, noise=-73.0, tof=30.0, cdr=0.95, peak=0):
         pdp = np.zeros(64)
         pdp[peak] = 0.8
@@ -84,7 +87,8 @@ class TestFeaturesBetween:
 
     def test_stable_link_null_features(self):
         a = self._snapshot()
-        features = features_between(a, self._snapshot(), current_mcs=6)
+        current = self._snapshot()
+        features = feature_deltas(a, current, current.cdr, 6)
         assert features.snr_diff_db == 0.0
         assert features.tof_diff_ns == 0.0
         assert features.pdp_similarity == pytest.approx(1.0)
@@ -93,7 +97,7 @@ class TestFeaturesBetween:
     def test_degradation_signs(self):
         previous = self._snapshot(snr=25.0, noise=-74.0, tof=30.0)
         current = self._snapshot(snr=15.0, noise=-70.0, tof=36.0, cdr=0.2)
-        features = features_between(previous, current, 5)
+        features = feature_deltas(previous, current, current.cdr, 5)
         assert features.snr_diff_db == pytest.approx(10.0)
         assert features.noise_diff_db == pytest.approx(4.0)
         assert features.tof_diff_ns == pytest.approx(-6.0)
@@ -104,7 +108,7 @@ class TestFeaturesBetween:
 
         previous = self._snapshot(tof=30.0)
         current = self._snapshot(tof=math.inf)
-        features = features_between(previous, current, 4)
+        features = feature_deltas(previous, current, current.cdr, 4)
         assert features.tof_diff_ns == TOF_INF_SENTINEL_NS
 
 

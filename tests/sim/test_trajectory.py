@@ -3,9 +3,11 @@
 The §8 replay rests on three point-independent skeletons that must be
 *bitwise* faithful:
 
-* :func:`repair_ladder` (behind :meth:`RateAdaptation.repair`) vs the
-  hand-derived RA scan,
-* :func:`steady_rate_runs` (prefix + cycle) vs :meth:`RateAdaptation.frames`,
+* :func:`repair_ladder` vs the hand-derived RA scan and its per-frame
+  byte sum,
+* :func:`steady_rate_runs` (prefix + cycle) vs the per-frame rates pinned
+  in ``tests/core/ra_goldens.json``, which the deleted frame generator
+  produced,
 * :func:`label_from_inputs` vs the pinned labels and delays in
   ``tests/core/label_goldens.json``.
 
@@ -16,30 +18,17 @@ import pickle
 
 import pytest
 
+from repro.constants import PROBE_BACKOFF_CAP
 from repro.core.ground_truth import GroundTruthConfig
-from repro.core.rate_adaptation import (
-    RateAdaptation,
-    repair_ladder,
-    steady_rate_runs,
-)
+from repro.core.rate_adaptation import repair_ladder, steady_rate_runs
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.trajectory import TrajectoryCache
 from tests.conftest import make_entry, make_traces
 from tests.core import test_label_goldens as label_goldens
+from tests.core import test_ra_goldens as ra_goldens
 from tests.sim.test_checkpoint import POINTS, tiny_grid
 
-# Trace shapes that exercise every steady-state regime: a rising ladder
-# (probes succeed), a cliff (probes fail, backoff grows), a plateau
-# (equal rates, probes fail), the top MCS (no probe target), and a CDR
-# below the ORI threshold (the probe gate never opens).
-TRACE_CASES = [
-    ("rising", make_traces([300, 450, 865, 1300]), 0),
-    ("cliff", make_traces([300, 450, 100]), 1),
-    ("plateau", make_traces([300, 300, 300]), 0),
-    ("top_mcs", make_traces([100, 200, 300, 400, 500, 600, 700, 800, 900]), 8),
-    ("low_cdr", make_traces([300, 450, 865], cdr_value=0.3), 1),
-    ("mid_settle", make_traces([300, 450, 865, 1300, 0, 0]), 2),
-]
+TRACE_CASES = ra_goldens.TRACE_CASES
 
 
 class TestSteadyRateRuns:
@@ -48,19 +37,19 @@ class TestSteadyRateRuns:
     )
     @pytest.mark.parametrize("horizon", [0, 1, 7, 100, 1500])
     def test_matches_frame_generator(self, name, traces, settled, horizon):
+        """The expansion matches the frame generator's pinned output."""
+        pinned = ra_goldens.expand_runs(
+            ra_goldens.load_goldens()[f"{name}/cap={PROBE_BACKOFF_CAP}"]
+        )
+        assert horizon <= len(pinned)
         prefix, cycle = steady_rate_runs(traces, settled)
-        ra = RateAdaptation(frame_time_s=2e-3)
-        reference = [
-            outcome.throughput_mbps
-            for outcome in ra.frames(traces, settled, horizon)
-        ]
         expanded = []
         for i in range(horizon):
             if i < len(prefix):
                 expanded.append(prefix[i])
             else:
                 expanded.append(cycle[(i - len(prefix)) % len(cycle)])
-        assert expanded == reference  # exact float equality, not approx
+        assert expanded == pinned[:horizon]  # exact float equality, not approx
 
     @pytest.mark.parametrize(
         "name,lengths",
@@ -81,7 +70,8 @@ class TestSteadyRateRuns:
 
     def test_gate_never_opens_is_constant(self):
         # Top MCS: no higher MCS exists, so every frame is the settled rate
-        # (the prefix only covers the frames until ``since_probe`` clamps).
+        # (the prefix only covers the frames until the probe counter stops
+        # mattering).
         traces = make_traces([100, 200, 300, 400, 500, 600, 700, 800, 900])
         prefix, cycle = steady_rate_runs(traces, 8)
         assert set(prefix) <= {900.0}
@@ -102,20 +92,17 @@ class TestRepairLadder:
 
     @pytest.mark.parametrize("frame_time_s", [0.5e-3, 2e-3, 10e-3])
     def test_result_matches_scalar_repair(self, frame_time_s):
-        ra = RateAdaptation(frame_time_s=frame_time_s)
         for traces, start, initial, (found, frames, probed) in self.CASES:
             ladder = repair_ladder(traces, start, initial)
             assert (ladder.found_mcs, ladder.frames_spent) == (found, frames)
             assert ladder.probed_throughputs_mbps == probed
+            settled = 0.0 if found is None else float(traces.throughput_mbps[found])
+            assert ladder.settled_throughput_mbps == settled
             # Bitwise: search bytes accumulate frame by frame in probe order.
             search_bytes = 0.0
             for tput in probed:
                 search_bytes += tput * 1e6 / 8.0 * frame_time_s
-            settled = 0.0 if found is None else float(traces.throughput_mbps[found])
-            want = (found, frames, search_bytes, settled)
-            for got in (ladder.result(frame_time_s), ra.repair(traces, start, initial)):
-                assert (got.found_mcs, got.frames_spent, got.bytes_during_search,
-                        got.settled_throughput_mbps) == want
+            assert ladder.search_bytes(frame_time_s) == search_bytes
 
     def test_out_of_range_start_rejected(self):
         with pytest.raises(ValueError, match="out of range"):

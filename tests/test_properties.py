@@ -20,7 +20,7 @@ from repro.core.ground_truth import (
     recovery_delays_s,
     utility,
 )
-from repro.core.rate_adaptation import RateAdaptation
+from repro.core.rate_adaptation import repair_ladder
 from repro.env.geometry import Point, Segment, mirror_point
 from repro.env.rooms import make_lobby
 from repro.phy.channel import LinkGeometry
@@ -98,15 +98,13 @@ class TestRateAdaptationProperties:
     @given(mcs_traces(), mcs_index)
     @settings(max_examples=60, deadline=None)
     def test_repair_never_exceeds_full_scan(self, traces, start):
-        ra = RateAdaptation(frame_time_s=2e-3)
-        result = ra.repair(traces, start)
+        result = repair_ladder(traces, start)
         assert 1 <= result.frames_spent <= start + 1
 
     @given(mcs_traces(), mcs_index)
     @settings(max_examples=60, deadline=None)
     def test_settled_mcs_is_working_and_capped(self, traces, start):
-        ra = RateAdaptation(frame_time_s=2e-3)
-        result = ra.repair(traces, start)
+        result = repair_ladder(traces, start)
         if result.found_mcs is not None:
             assert 0 <= result.found_mcs <= start
             from repro.constants import (
