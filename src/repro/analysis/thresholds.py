@@ -45,8 +45,12 @@ def best_threshold(values: np.ndarray, labels: np.ndarray, feature: str) -> Thre
     """Exhaustively find the best single threshold for one metric.
 
     Candidate thresholds are midpoints between consecutive sorted unique
-    values; both orientations (BA-above / BA-below) are tried.  Ties keep
-    the first (lowest-threshold) winner.
+    values, then ``-inf`` and ``+inf``; both orientations (BA-above /
+    BA-below) are tried.  The two infinite thresholds are the one-sided
+    rules (every row BA, every row RA), so the best rule never scores
+    below the majority class, also on a constant feature.  Ties keep the
+    first winner: the lowest interior threshold, and a one-sided rule only
+    when no interior threshold does as well.
     """
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels)
@@ -56,7 +60,7 @@ def best_threshold(values: np.ndarray, labels: np.ndarray, feature: str) -> Thre
     if is_ba.all() or (~is_ba).all():
         raise ValueError("need both classes present to fit a threshold")
     unique = np.unique(values)
-    candidates = (unique[:-1] + unique[1:]) / 2.0 if unique.size > 1 else unique
+    candidates = np.concatenate([(unique[:-1] + unique[1:]) / 2.0, [-np.inf, np.inf]])
     best: Optional[ThresholdRule] = None
     for threshold in candidates:
         for ba_above in (True, False):

@@ -221,7 +221,10 @@ def snr_matrix_db(
     # patterns.  The rows are NOT bit-identical to Beam.gain_dbi_array
     # (they differ in the last ulp for some angles), so measuring a swept
     # state can differ from measuring it unswept; the fix, measuring from
-    # one per-state gain table, changes bytes (ROADMAP.md).
+    # one per-state gain table, changes bytes (ROADMAP.md).  measure()'s
+    # link-budget memo therefore depends on the gain source: it holds the
+    # tuple written here by reference, and writing a new one makes every
+    # budget computed from the old source (or from none) stale.
     state.extra_fields["_pair_gains"] = (
         tx_orientation_deg, rx_orientation_deg, gtx_dbi, grx_dbi, loss
     )

@@ -143,6 +143,7 @@ class EvaluationGrid:
     trajectory_cache: TrajectoryCache = field(
         default_factory=TrajectoryCache, init=False, repr=False
     )
+    _label_cache: dict = field(default_factory=dict, init=False, repr=False)
     _model_cache: dict = field(default_factory=dict, init=False, repr=False)
     _train_features: Optional[np.ndarray] = field(
         default=None, init=False, repr=False
@@ -185,22 +186,29 @@ class EvaluationGrid:
             )
 
     def libra_for(self, point: OperatingPoint) -> LiBRA:
-        """A LiBRA trained on this point's relabelled ground truth."""
+        """A LiBRA trained on this point's relabelled ground truth.
+
+        The training set is relabelled once per (α, BA overhead, FAT), and
+        forests are cached by the relabelled labels: a forest is a pure
+        function of the features, the labels and the grid's parameters, so
+        two points whose ground truth agrees on every entry share one.
+        """
         config = point.ground_truth_config()
         key = (config.alpha, config.ba_overhead_s, config.frame_time_s)
-        if key not in self._model_cache:
+        labels = self._label_cache.get(key)
+        if labels is None:
+            labels = self._label_cache[key] = self._training_labels(config)
+        label_key = tuple(labels.tolist())
+        if label_key not in self._model_cache:
             with self.metrics.span("sweep.train_libra"):
                 model = RandomForestClassifier(
                     n_estimators=self.n_estimators,
                     max_depth=self.max_depth,
                     random_state=self.random_state,
                 )
-                model.fit(
-                    self._training_features(),
-                    self._training_labels(config),
-                )
-                self._model_cache[key] = LiBRA(model)
-        return self._model_cache[key]
+                model.fit(self._training_features(), labels)
+                self._model_cache[label_key] = LiBRA(model)
+        return self._model_cache[label_key]
 
     def policies_for(self, point: OperatingPoint) -> dict[str, LinkAdaptationPolicy]:
         return {

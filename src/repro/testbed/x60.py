@@ -66,6 +66,30 @@ PDP_BIN_NOISE_STD = 0.1
 """Per-bin multiplicative noise of the reported power delay profile."""
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
+class _LinkBudget:
+    """The rng-free half of one :meth:`X60Link.measure` record.
+
+    ``codebook`` and ``gains`` are the inputs the memo key does not carry,
+    held by reference so a stale entry can be recognised.  The arrays are
+    read-only; every measurement derives fresh arrays from them.
+    """
+
+    codebook: Codebook
+    gains: Optional[tuple]
+    true_snr_db: float
+    effective_noise_dbm: float
+    tof_ns: float
+    pdp: np.ndarray
+    cdr: np.ndarray
+    throughput_mbps: np.ndarray
+
+
 @dataclass
 class X60Link:
     """One Tx-Rx X60 link inside a room.
@@ -203,27 +227,29 @@ class X60Link:
         )
 
     def _per_ray_powers(
-        self, state: ChannelState, rx: RadioPose, tx_beam: int, rx_beam: int
+        self,
+        state: ChannelState,
+        rx: RadioPose,
+        tx_beam: int,
+        rx_beam: int,
+        gains: Optional[tuple],
     ) -> np.ndarray:
         """Per-ray received powers (dBm) for one beam pair.
 
-        Reuses the per-(beam, ray) gain rows a sector sweep cached on the
-        state when available, falling back to a direct evaluation
-        otherwise.  The two are *not* bit-identical: the cached rows differ
-        from :meth:`~repro.phy.antenna.Beam.gain_dbi_array` in the last ulp
-        for some angles, so :meth:`measure` on a state that was swept first
-        can return a different true SNR, PDP and CDR than on the same state
-        unswept.  Measuring from one per-state gain table fixes this but
-        changes output bytes, so it waits for a deliberate regeneration
-        (ROADMAP.md).
+        ``gains`` is the gain source: the per-(beam, ray) rows a sector
+        sweep cached on the state at the same orientations, or ``None``
+        for a direct evaluation.  The two are *not* bit-identical: the cached
+        rows differ from :meth:`~repro.phy.antenna.Beam.gain_dbi_array` in
+        the last ulp for some angles, so :meth:`measure` on a state that
+        was swept first can return a different true SNR, PDP and CDR than
+        on the same state unswept.  That is why the link-budget memo holds
+        its gain source and recomputes when the source changes.  Measuring
+        from one per-state gain table fixes this but changes output bytes,
+        so it waits for a deliberate regeneration (ROADMAP.md).
         """
-        cached = state.extra_fields.get("_pair_gains")
-        if cached is not None:
-            txo, rxo, gtx_dbi, grx_dbi, loss = cached
-            if txo == self.tx.orientation_deg and rxo == rx.orientation_deg:
-                return (
-                    self.tx_power_dbm + gtx_dbi[tx_beam] + grx_dbi[rx_beam] - loss
-                )
+        if gains is not None:
+            _txo, _rxo, gtx_dbi, grx_dbi, loss = gains
+            return self.tx_power_dbm + gtx_dbi[tx_beam] + grx_dbi[rx_beam] - loss
         return np.array(
             per_ray_received_powers_dbm(
                 state.rays,
@@ -235,6 +261,62 @@ class X60Link:
             )
         )
 
+    def _link_budget(
+        self, state: ChannelState, rx: RadioPose, tx_beam: int, rx_beam: int
+    ) -> _LinkBudget:
+        """The rng-free half of :meth:`measure`, memoised on the state.
+
+        The memo lives in ``state.extra_fields["_link_budgets"]``, keyed by
+        everything the budget reads apart from the state itself: both
+        orientations, the beam pair and the Tx power.  The codebook and the
+        gain source are held by reference in the entry, and an entry whose
+        codebook or gain source is not the current one is recomputed, so a
+        measurement after a sweep reads the swept rows exactly as an
+        unmemoised one would.
+        """
+        gains = state.extra_fields.get("_pair_gains")
+        if gains is not None and not (
+            gains[0] == self.tx.orientation_deg and gains[1] == rx.orientation_deg
+        ):
+            gains = None  # swept at other orientations: evaluate directly
+        memo = state.extra_fields.setdefault("_link_budgets", {})
+        key = (self.tx.orientation_deg, rx.orientation_deg, tx_beam, rx_beam,
+               self.tx_power_dbm)
+        budget = memo.get(key)
+        if (
+            budget is not None
+            and budget.codebook is self.codebook
+            and budget.gains is gains
+        ):
+            return budget
+        per_ray_powers = self._per_ray_powers(state, rx, tx_beam, rx_beam, gains)
+        total_mw = float(np.sum(10.0 ** (per_ray_powers / 10.0)))
+        rx_power_dbm = 10.0 * math.log10(total_mw) if total_mw > 0.0 else -300.0
+        effective_noise = state.effective_noise_dbm(
+            self.codebook[rx_beam], rx.orientation_deg
+        )
+        true_snr = rx_power_dbm - effective_noise
+        if true_snr < TOF_MIN_SNR_DB or not state.rays:
+            tof_ns = math.inf
+        else:
+            dominant = int(np.argmax(per_ray_powers))
+            tof_ns = state.rays[dominant].delay_ns
+        # One vectorized call over all MCSs replaces 2 x 9 scalar waterfall
+        # evaluations (same values to floating-point round-off).
+        cdr = codeword_delivery_ratio_array(true_snr)
+        budget = _LinkBudget(
+            codebook=self.codebook,
+            gains=gains,
+            true_snr_db=true_snr,
+            effective_noise_dbm=effective_noise,
+            tof_ns=tof_ns,
+            pdp=_read_only(power_delay_profile(state.rays, per_ray_powers)),
+            cdr=_read_only(cdr),
+            throughput_mbps=_read_only(phy_rates_mbps() * cdr),
+        )
+        memo[key] = budget
+        return budget
+
     def measure(
         self,
         state: ChannelState,
@@ -243,52 +325,46 @@ class X60Link:
         rx_beam: int,
         rng: Optional[np.random.Generator] = None,
     ) -> StateMeasurement:
-        """Capture the full §5.1 record for one state and beam pair."""
+        """Capture the full §5.1 record for one state and beam pair.
+
+        The record is a noiseless link budget plus a noisy readout.  The
+        budget (true SNR, effective noise, noiseless PDP, ToF, per-MCS CDR
+        and throughput) depends only on the state, the orientations, the
+        beam pair, the Tx power, the codebook and the gain source, so it
+        is memoised on the state (:meth:`_link_budget`).  The readout draws
+        the SNR jitter, the reported noise, the PDP bin noise and the
+        throughput factors from ``rng`` on every call, in that order, and
+        builds fresh arrays, so callers may mutate the record.
+        """
         rng = rng or np.random.default_rng(0)
-        # Per-ray powers, their incoherent sum (the Rx power), and the
-        # effective noise are each computed once and shared between the SNR,
-        # noise, and PDP parts of the record.
-        per_ray_powers = self._per_ray_powers(state, rx, tx_beam, rx_beam)
-        total_mw = float(np.sum(10.0 ** (per_ray_powers / 10.0)))
-        rx_power_dbm = 10.0 * math.log10(total_mw) if total_mw > 0.0 else -300.0
-        effective_noise = state.effective_noise_dbm(
-            self.codebook[rx_beam], rx.orientation_deg
+        budget = self._link_budget(state, rx, tx_beam, rx_beam)
+        jitter_db = float(rng.normal(0.0, self.snr_jitter_std_db))
+        reported_snr = budget.true_snr_db + jitter_db
+        reported_noise = self.noise_model.reported_level_dbm(
+            budget.effective_noise_dbm, rng
         )
-        true_snr = rx_power_dbm - effective_noise
-        reported_snr = true_snr + float(rng.normal(0.0, self.snr_jitter_std_db))
-        reported_noise = self.noise_model.reported_level_dbm(effective_noise, rng)
-        pdp = power_delay_profile(state.rays, per_ray_powers)
         # Hardware PDPs are noisy estimates; per-bin multiplicative noise
         # keeps the multipath metrics informative-but-imperfect (their Gini
         # importances trail SNR/MCS in Table 3).
-        pdp = pdp * np.clip(rng.normal(1.0, self.pdp_bin_noise_std, pdp.shape), 0.0, None)
+        pdp = budget.pdp * np.clip(
+            rng.normal(1.0, self.pdp_bin_noise_std, budget.pdp.shape), 0.0, None
+        )
         total = pdp.sum()
         if total > 0.0:
             pdp = pdp / total
-
-        if true_snr < TOF_MIN_SNR_DB or not state.rays:
-            tof_ns = math.inf
-        else:
-            dominant = int(np.argmax(per_ray_powers))
-            tof_ns = state.rays[dominant].delay_ns
-
-        # One vectorized call over all MCSs replaces 2 x 9 scalar waterfall
-        # evaluations (same values to floating-point round-off).
-        cdr = codeword_delivery_ratio_array(true_snr)
-        tput = phy_rates_mbps() * cdr
         # 1 s traces are measurements, not expectations: apply run-to-run noise.
         factors = np.exp(rng.normal(0.0, TRACE_TPUT_NOISE_STD, X60_NUM_MCS))
-        tput = tput * factors
-        cdr = np.clip(cdr * factors, 0.0, 1.0)
+        tput = budget.throughput_mbps * factors
+        cdr = np.clip(budget.cdr * factors, 0.0, 1.0)
 
         return StateMeasurement(
             room_name=self.room.name,
             tx_beam=tx_beam,
             rx_beam=rx_beam,
             snr_db=reported_snr,
-            true_snr_db=true_snr,
+            true_snr_db=budget.true_snr_db,
             noise_dbm=reported_noise,
-            tof_ns=tof_ns,
+            tof_ns=budget.tof_ns,
             pdp=pdp,
             cdr=cdr,
             throughput_mbps=tput,

@@ -109,6 +109,21 @@ class TestEvaluationGridTinyDataset:
         assert registry.counter("sim.flows").value == 5 * n * len(points)
         assert registry.histogram("sweep.train_libra").count >= 1
 
+    def test_equal_labels_share_one_forest(self, tiny_grid):
+        from repro.obs.metrics import MetricsRegistry
+
+        tiny_grid.metrics = registry = MetricsRegistry()
+        # Both ground truths label the tiny dataset BA,BA,BA,BA,RA,RA,BA,BA.
+        a = tiny_grid.libra_for(OperatingPoint(0.5e-3, 2e-3))
+        b = tiny_grid.libra_for(OperatingPoint(5e-3, 10e-3))
+        c = tiny_grid.libra_for(OperatingPoint(5e-3, 2e-3))
+        assert tiny_grid.libra_for(OperatingPoint(0.5e-3, 2e-3)) is a
+        assert a is b
+        assert a is not c
+        assert registry.histogram("sweep.train_libra").count == 2
+        # One relabel per distinct (α, BA overhead, FAT), repeats included.
+        assert registry.histogram("sweep.relabel").count == 3
+
     def test_recorder_receives_every_flow(self, tiny_grid):
         from repro.obs.trace import InMemoryTraceRecorder
 

@@ -31,6 +31,22 @@ class TestBestThreshold:
         rule = best_threshold(values, labels, "noise_diff_db")
         assert rule.accuracy <= 0.75
 
+    def test_lone_minority_row_falls_back_to_majority(self):
+        # One BA row in the middle of twelve: every interior cut misclassifies
+        # at least two rows (10/12), the all-RA rule only one (11/12).
+        values = np.arange(12.0)
+        labels = np.array(["RA"] * 5 + ["BA"] + ["RA"] * 6)
+        rule = best_threshold(values, labels, "x")
+        assert rule.accuracy == pytest.approx(11 / 12)
+        assert (rule.ba_recall, rule.ra_recall) == (0.0, 1.0)
+
+    def test_constant_feature_can_predict_ba(self):
+        labels = np.array(["BA"] * 9 + ["RA"])
+        rule = best_threshold(np.full(10, 8.0), labels, "initial_mcs")
+        assert rule.accuracy == pytest.approx(0.9)
+        assert (rule.ba_recall, rule.ra_recall) == (1.0, 0.0)
+        assert rule.describe().startswith("BA if initial_mcs > -inf")
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             best_threshold(np.ones(4), np.array(["BA"] * 4), "x")
