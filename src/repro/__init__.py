@@ -28,8 +28,6 @@ from repro.core import (
     LiBRA,
     LinkAdaptationPolicy,
     RAFirstPolicy,
-    X60_MCS_SET,
-    AD_MCS_SET,
     compute_features,
     utility,
 )
@@ -73,8 +71,6 @@ __all__ = [
     "LiBRA",
     "LinkAdaptationPolicy",
     "RAFirstPolicy",
-    "X60_MCS_SET",
-    "AD_MCS_SET",
     "compute_features",
     "utility",
     "Dataset",

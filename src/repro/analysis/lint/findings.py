@@ -38,11 +38,6 @@ class Finding:
         """The baseline identity: where + what, but not which line."""
         return f"{self.path}::{self.rule}::{self.message}"
 
-    def with_severity(self, severity: str) -> "Finding":
-        if severity not in SEVERITIES:
-            raise ValueError(f"unknown severity {severity!r}")
-        return replace(self, severity=severity)
-
     def as_baselined(self) -> "Finding":
         return replace(self, baselined=True)
 

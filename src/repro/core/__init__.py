@@ -1,7 +1,6 @@
 """The paper's contribution: PHY-metric features, ground-truth labelling,
 the RA/BA algorithms, and the LiBRA controller (Algorithm 1)."""
 
-from repro.core.mcs import Mcs, X60_MCS_SET, AD_MCS_SET, MCSSet
 from repro.core.metrics import FeatureVector, FEATURE_NAMES, compute_features
 from repro.core.ground_truth import (
     GroundTruthConfig,
@@ -28,10 +27,6 @@ from repro.core.observation import (
 from repro.core.history import BlockagePatternLearner
 
 __all__ = [
-    "Mcs",
-    "MCSSet",
-    "X60_MCS_SET",
-    "AD_MCS_SET",
     "FeatureVector",
     "FEATURE_NAMES",
     "compute_features",

@@ -28,8 +28,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.constants import X60_NUM_MCS
-from repro.core.mcs import X60_MCS_SET
+from repro.constants import X60_MCS_TABLE, X60_NUM_MCS
 from repro.core.rate_adaptation import first_working_descending
 from repro.testbed.traces import StateMeasurement
 
@@ -53,7 +52,7 @@ class GroundTruthConfig:
     ba_overhead_s: float = 5e-3
     frame_time_s: float = 2e-3
     num_mcs: int = X60_NUM_MCS
-    max_rate_mbps: float = X60_MCS_SET.max_rate_mbps
+    max_rate_mbps: float = X60_MCS_TABLE[-1][3]
     tie_margin: float = 0.001
     """Utility differences below this are measurement noise, not a win:
     real 1 s throughput traces resolve differences of roughly a percent of

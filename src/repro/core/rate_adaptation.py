@@ -28,8 +28,7 @@ from repro.constants import (
     PROBE_INTERVAL_MIN_FRAMES,
     X60_NUM_MCS,
 )
-from repro.core.mcs import X60_MCS_SET
-from repro.phy.error_model import is_working
+from repro.phy.error_model import is_working, phy_rate_mbps
 from repro.testbed.traces import McsTraces, StateMeasurement
 
 
@@ -44,7 +43,7 @@ def cdr_ori_threshold(mcs: int) -> float:
     """
     if mcs >= X60_NUM_MCS - 1:
         return float("inf")  # no higher MCS to probe
-    return 0.9 * X60_MCS_SET.rate_mbps(mcs) / X60_MCS_SET.rate_mbps(mcs + 1)
+    return 0.9 * phy_rate_mbps(mcs) / phy_rate_mbps(mcs + 1)
 
 
 def probe_interval(failed_probes: int, cap: int = PROBE_BACKOFF_CAP) -> int:

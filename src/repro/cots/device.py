@@ -22,20 +22,19 @@ heuristics cannot tell transients from real impairments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from repro.core.mcs import AD_MCS_SET, MCSSet
+from repro.constants import AD_MCS_SNR_THRESHOLDS_DB, AD_MCS_TABLE
 from repro.env.geometry import Point
 from repro.obs.events import SessionEvent
 from repro.env.placement import RadioPose
 from repro.env.rooms import Room, make_corridor, make_lobby
 from repro.phy.blockage import HumanBlocker
 from repro.phy.channel import ChannelState, snr_matrix_db
-from repro.phy.error_model import WATERFALL_STEEPNESS_PER_DB
+from repro.phy.error_model import codeword_delivery_ratio_array
 from repro.testbed.x60 import X60Link
 
 FRAME_TIME_S = 2e-3
@@ -133,7 +132,6 @@ class CotsDevice:
         self,
         link: X60Link,
         profile: DeviceProfile = AP_PROFILE,
-        mcs_set: MCSSet = AD_MCS_SET,
         ba_enabled: bool = True,
         locked_sector: Optional[int] = None,
         fade_model: FadeModel = FadeModel(),
@@ -141,13 +139,12 @@ class CotsDevice:
     ):
         self.link = link
         self.profile = profile
-        self.mcs_set = mcs_set
         self.ba_enabled = ba_enabled
         self.fade_model = fade_model
         self.rng = np.random.default_rng(seed)
         self.sector = locked_sector if locked_sector is not None else 0
         self.rx_beam = len(link.codebook) // 2  # clients receive quasi-omni-ish
-        self.mcs_index = len(mcs_set) - 1
+        self.mcs_index = len(AD_MCS_TABLE) - 1
         self._missing_acks = 0
 
     # -- channel helpers -----------------------------------------------------
@@ -168,18 +165,13 @@ class CotsDevice:
 
     def _ampdu_delivered_fraction(self, snr_db: float) -> float:
         """Fraction of the AMPDU's MPDUs that decode at the current MCS."""
-        threshold = self.mcs_set[self.mcs_index].snr_threshold_db
-        x = WATERFALL_STEEPNESS_PER_DB * (snr_db - threshold)
-        if x > 40.0:
-            return 1.0
-        if x < -40.0:
-            return 0.0
-        return 1.0 / (1.0 + math.exp(-x))
+        cdr = codeword_delivery_ratio_array(snr_db, AD_MCS_SNR_THRESHOLDS_DB)
+        return float(cdr[self.mcs_index])
 
     def _rate_adapt(self, snr_db: float) -> bool:
         """Drop the MCS; True when a working MCS remains."""
         self.mcs_index = max(0, self.mcs_index - self.profile.mcs_backoff_per_loss)
-        return snr_db >= self.mcs_set[self.mcs_index].snr_threshold_db - 1.0
+        return snr_db >= AD_MCS_SNR_THRESHOLDS_DB[self.mcs_index] - 1.0
 
     def _beam_adapt(self, state: ChannelState, rx: RadioPose) -> None:
         """Tx-only SLS with noisy per-sector estimates (quasi-omni Rx)."""
@@ -198,8 +190,8 @@ class CotsDevice:
         # the firmware picks the initial MCS from the sweep's SNR reading.
         estimate = measured[best]
         supported = 0
-        for i, mcs in enumerate(self.mcs_set):
-            if mcs.snr_threshold_db <= estimate:
+        for i, threshold in enumerate(AD_MCS_SNR_THRESHOLDS_DB):
+            if threshold <= estimate:
                 supported = i
         self.mcs_index = supported
 
@@ -213,15 +205,15 @@ class CotsDevice:
         snr = self._frame_snr(state, rx)
         delivered_fraction = self._ampdu_delivered_fraction(snr)
         ack = delivered_fraction > 0.01 or self.rng.random() < delivered_fraction
-        rate = self.mcs_set[self.mcs_index].rate_mbps
+        rate = AD_MCS_TABLE[self.mcs_index][3]
         payload = rate * 1e6 / 8.0 * FRAME_TIME_S * delivered_fraction
         if ack and delivered_fraction > 0.5:
             self._missing_acks = 0
             # Probe back up eagerly (COTS firmwares recover rate fast).
             if (
-                self.mcs_index < len(self.mcs_set) - 1
+                self.mcs_index < len(AD_MCS_TABLE) - 1
                 and self.rng.random() < 0.5
-                and snr >= self.mcs_set[self.mcs_index + 1].snr_threshold_db
+                and snr >= AD_MCS_SNR_THRESHOLDS_DB[self.mcs_index + 1]
             ):
                 self.mcs_index += 1
             return payload, FRAME_TIME_S

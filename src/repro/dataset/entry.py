@@ -11,7 +11,7 @@ traces lets every §8 experiment *relabel* the ground truth under different
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -64,9 +64,6 @@ class DatasetEntry:
         return label_entry(
             self.traces_same_pair, self.traces_best_pair, self.initial_mcs, config
         )
-
-    def with_label(self, label: Action) -> "DatasetEntry":
-        return replace(self, label=label)
 
 
 @dataclass

@@ -72,19 +72,6 @@ class PlacementPlan:
     displacement_tracks: list[DisplacementTrack] = field(default_factory=list)
     impairment_positions: list[ImpairmentPosition] = field(default_factory=list)
 
-    def displacement_position_count(self) -> int:
-        """Distinct Rx positions involved in displacement scenarios.
-
-        Rotations reuse a position, matching the paper's counting (Table 1
-        counts *positions*, not orientations).
-        """
-        seen: set[tuple[float, float]] = set()
-        for track in self.displacement_tracks:
-            seen.add((track.initial_rx.position.x, track.initial_rx.position.y))
-            for state in track.new_states:
-                seen.add((state.position.x, state.position.y))
-        return len(seen)
-
 
 def _facing(src: Point, dst: Point) -> float:
     """Orientation (deg) that points ``src``'s boresight at ``dst``."""

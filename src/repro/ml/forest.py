@@ -4,11 +4,8 @@ The paper's best model (98 % 5-fold CV accuracy, 88 % cross-building).
 Gini importances — the normalised, tree-averaged impurity decrease each
 feature contributes — reproduce Table 3.
 
-Tree fitting goes through :func:`repro.runtime.parallel_map`: every
-tree's (seed, bootstrap indices) pair is drawn **sequentially** from the
-master RNG first — the exact draw order the sequential implementation
-used — and only the fits fan out, so the forest is byte-identical at
-every worker count.
+Trees are fitted in order: each tree draws its seed and then its
+bootstrap indices from the master RNG, and fits from its own seed.
 
 Inference walks one fused :class:`~repro.ml.tree.NodeTable` holding every
 tree's nodes, built whenever ``trees_`` is assigned.  Every (row, tree)
@@ -19,7 +16,6 @@ five thousand rows take the same code path and the same arithmetic.
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
 import numpy as np
@@ -27,15 +23,6 @@ import numpy as np
 from repro.ml.base import Estimator, check_Xy
 from repro.ml.tree import DecisionTreeClassifier, NodeTable, leaf_distributions
 from repro.obs.metrics import get_metrics
-from repro.runtime import parallel_map
-
-
-def _fit_tree(item, metrics, recorder, *, X, y, params) -> DecisionTreeClassifier:
-    """Runtime task: fit one tree from its precomputed (seed, indices)."""
-    seed, indices = item
-    tree = DecisionTreeClassifier(random_state=seed, **params)
-    tree.fit(X[indices], y[indices])
-    return tree
 
 
 def fuse_trees(trees: list[DecisionTreeClassifier], classes: np.ndarray) -> NodeTable:
@@ -71,10 +58,8 @@ class RandomForestClassifier(Estimator):
         n_estimators: Number of trees.
         max_depth / criterion / min_samples_leaf: Passed to each tree.
         max_features: Per-split feature subsample (default ``"sqrt"``).
-        bootstrap: Draw each tree's training set with replacement.
-        random_state: Master seed; per-tree seeds derive from it.
-        n_jobs: Worker processes for tree fitting (1 = inline).  The
-            fitted forest does not depend on this value.
+        random_state: Master seed; per-tree seeds and bootstrap samples
+            derive from it.
     """
 
     def __init__(
@@ -84,22 +69,16 @@ class RandomForestClassifier(Estimator):
         criterion: str = "gini",
         min_samples_leaf: int = 1,
         max_features: int | str | None = "sqrt",
-        bootstrap: bool = True,
         random_state: Optional[int] = None,
-        n_jobs: int = 1,
     ):
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
-        if n_jobs < 1:
-            raise ValueError("n_jobs must be >= 1")
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.criterion = criterion
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
-        self.bootstrap = bootstrap
         self.random_state = random_state
-        self.n_jobs = n_jobs
         self.classes_: Optional[np.ndarray] = None
         self.trees_ = None
         self.feature_importances_: Optional[np.ndarray] = None
@@ -125,30 +104,18 @@ class RandomForestClassifier(Estimator):
         rng = np.random.default_rng(self.random_state)
         self.classes_ = np.unique(y)
         n = X.shape[0]
-        # All per-tree randomness is drawn up front, in the sequential
-        # draw order, so fanning the fits out cannot change the forest.
-        draws: list[tuple[int, np.ndarray]] = []
+        trees = []
         for _ in range(self.n_estimators):
-            seed = int(rng.integers(0, 2**31 - 1))
-            if self.bootstrap:
-                indices = rng.integers(0, n, size=n)
-            else:
-                indices = np.arange(n)
-            draws.append((seed, indices))
-        task = functools.partial(
-            _fit_tree,
-            X=X,
-            y=y,
-            params=dict(
+            tree = DecisionTreeClassifier(
                 max_depth=self.max_depth,
                 criterion=self.criterion,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
-            ),
-        )
-        self.trees_ = parallel_map(
-            task, draws, workers=self.n_jobs, metrics=get_metrics()
-        )
+                random_state=int(rng.integers(0, 2**31 - 1)),
+            )
+            indices = rng.integers(0, n, size=n)
+            trees.append(tree.fit(X[indices], y[indices]))
+        self.trees_ = trees
         importances = np.zeros(X.shape[1])
         for tree in self.trees_:
             # Trees may have seen a label subset; align importance directly

@@ -18,10 +18,6 @@ from repro.phy.interference import (
 )
 from repro.phy.noise import noise_floor_dbm, NoiseModel
 from repro.phy.pdp import power_delay_profile, fft_pdp, pearson_similarity
-from repro.phy.error_model import (
-    codeword_error_rate,
-    codeword_delivery_ratio,
-)
 
 __all__ = [
     "Beam",
@@ -44,6 +40,4 @@ __all__ = [
     "power_delay_profile",
     "fft_pdp",
     "pearson_similarity",
-    "codeword_error_rate",
-    "codeword_delivery_ratio",
 ]

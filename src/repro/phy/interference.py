@@ -116,18 +116,18 @@ def required_sinr_for_drop_db(clear_snr_db: float, drop_fraction: float) -> floa
     """
     import numpy as np
 
-    from repro.phy.error_model import best_throughput_array, best_throughput_mcs
+    from repro.phy.error_model import best_throughput_array
 
     if not 0.0 <= drop_fraction < 1.0:
         raise ValueError("drop_fraction must be in [0, 1)")
-    _, base_tput = best_throughput_mcs(clear_snr_db)
+    base_tput = float(best_throughput_array(clear_snr_db)[1])
     if base_tput <= 0.0:
         return clear_snr_db  # dead link: nothing to calibrate against
     target = (1.0 - drop_fraction) * base_tput
-    # Build the exact step sequence the scalar scan would visit (repeated
-    # ``-= 0.1`` accumulates float round-off, so generating it any other way
-    # would change the calibration at the last ulp), then evaluate the whole
-    # ladder with one vectorized error-model call.
+    # Build the step sequence of a downward scan (repeated ``-= 0.1``
+    # accumulates float round-off, so generating it any other way would
+    # change the calibration at the last ulp), then evaluate the whole
+    # ladder with one error-model call.
     sinr = clear_snr_db
     steps = []
     while sinr > -20.0:

@@ -26,11 +26,11 @@ from repro.constants import (
     VR_FPS,
     VR_MEAN_RATE_MBPS,
     VR_SCENE_DURATION_S,
+    X60_MCS_TABLE,
 )
-from repro.core.mcs import X60_MCS_SET
 from repro.sim.batch import BatchFlowSimulator
 
-COTS_SCALE = AD_COTS_PEAK_THROUGHPUT_MBPS / X60_MCS_SET.max_rate_mbps
+COTS_SCALE = AD_COTS_PEAK_THROUGHPUT_MBPS / X60_MCS_TABLE[-1][3]
 """Rate scaling X60 → COTS 802.11ad (≈ 0.505), same modulation/coding."""
 
 

@@ -369,16 +369,3 @@ class X60Link:
             cdr=cdr,
             throughput_mbps=tput,
         )
-
-    def sweep_and_measure(
-        self,
-        rx: RadioPose,
-        blockers: Sequence[HumanBlocker] = (),
-        interferer: Optional[Interferer] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> tuple[ChannelState, StateMeasurement]:
-        """Convenience: trace, SLS, then measure the winning beam pair."""
-        rng = rng or np.random.default_rng(0)
-        state = self.channel_state(rx, blockers, interferer, rng)
-        tx_beam, rx_beam, _snr = self.sector_sweep(state, rx)
-        return state, self.measure(state, rx, tx_beam, rx_beam, rng)

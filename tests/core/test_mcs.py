@@ -1,65 +1,80 @@
-"""MCS table tests."""
+"""MCS table tests: the X60 and 802.11ad ladders in :mod:`repro.constants`."""
 
-import pytest
+import numpy as np
 
-from repro.core.mcs import AD_MCS_SET, MCSSet, Mcs, X60_MCS_SET
+from repro.constants import (
+    AD_MCS_SNR_THRESHOLDS_DB,
+    AD_MCS_TABLE,
+    X60_MCS_SNR_THRESHOLDS_DB,
+    X60_MCS_TABLE,
+)
+from repro.phy.error_model import phy_rate_mbps, phy_rates_mbps
+
+INDEX, MODULATION, CODE_RATE, RATE_MBPS = range(4)
+
+
+def highest_below_snr(snr_db: float, margin_db: float = 0.0):
+    """The highest X60 MCS whose threshold clears ``snr_db - margin``, or
+    ``None`` — the direct SNR→MCS mapping older 60 GHz RA work proposed."""
+    count = int(np.searchsorted(X60_MCS_SNR_THRESHOLDS_DB, snr_db - margin_db, "right"))
+    return count - 1 if count else None
 
 
 class TestX60Set:
     def test_nine_mcs_spanning_paper_rates(self):
-        assert len(X60_MCS_SET) == 9
-        assert X60_MCS_SET[0].rate_mbps == 300.0
-        assert X60_MCS_SET.max_rate_mbps == 4750.0
+        assert len(X60_MCS_TABLE) == 9
+        assert phy_rate_mbps(0) == 300.0
+        assert phy_rates_mbps().max() == X60_MCS_TABLE[-1][RATE_MBPS] == 4750.0
 
     def test_indices_contiguous_from_zero(self):
-        assert [m.index for m in X60_MCS_SET] == list(range(9))
+        assert [row[INDEX] for row in X60_MCS_TABLE] == list(range(9))
 
     def test_thresholds_increase_with_rate(self):
-        thresholds = [m.snr_threshold_db for m in X60_MCS_SET]
-        assert thresholds == sorted(thresholds)
+        assert len(X60_MCS_SNR_THRESHOLDS_DB) == len(X60_MCS_TABLE)
+        assert list(X60_MCS_SNR_THRESHOLDS_DB) == sorted(X60_MCS_SNR_THRESHOLDS_DB)
 
     def test_codeword_sizes_span_paper_range(self):
-        sizes = [m.codeword_bytes for m in X60_MCS_SET]
+        sizes = [row[4] for row in X60_MCS_TABLE]
         assert min(sizes) == 180 and max(sizes) == 1080
 
 
 class TestAdSet:
     def test_twelve_sc_mcs(self):
-        assert len(AD_MCS_SET) == 12
-        assert AD_MCS_SET.min_index == 1
-        assert AD_MCS_SET.max_rate_mbps == 4620.0
+        assert len(AD_MCS_TABLE) == len(AD_MCS_SNR_THRESHOLDS_DB) == 12
+        assert AD_MCS_TABLE[0][INDEX] == 1
+        assert AD_MCS_TABLE[-1][RATE_MBPS] == 4620.0
 
     def test_rates_match_standard_extremes(self):
-        assert AD_MCS_SET[0].rate_mbps == 385.0
+        assert AD_MCS_TABLE[0][RATE_MBPS] == 385.0
 
 
 class TestMCSSetApi:
     def test_by_index(self):
-        assert X60_MCS_SET.by_index(4).modulation == "16QAM"
-        with pytest.raises(KeyError):
-            X60_MCS_SET.by_index(99)
+        assert X60_MCS_TABLE[4][MODULATION] == "16QAM"
+        assert 99 not in {row[INDEX] for row in X60_MCS_TABLE}
 
     def test_rate_lookup(self):
-        assert X60_MCS_SET.rate_mbps(3) == 1300.0
+        assert phy_rate_mbps(3) == 1300.0
 
     def test_rate_bps(self):
-        assert X60_MCS_SET[0].rate_bps == 300e6
+        assert phy_rate_mbps(0) * 1e6 == 300e6
 
     def test_highest_below_snr(self):
         # 16 dB clears MCS5's 15 dB but not MCS6's 17 dB.
-        assert X60_MCS_SET.highest_below_snr(16.0).index == 5
-        assert X60_MCS_SET.highest_below_snr(100.0).index == 8
-        assert X60_MCS_SET.highest_below_snr(-5.0) is None
+        assert highest_below_snr(16.0) == 5
+        assert highest_below_snr(100.0) == 8
+        assert highest_below_snr(-5.0) is None
 
     def test_highest_below_snr_with_margin(self):
-        assert X60_MCS_SET.highest_below_snr(16.0, margin_db=3.0).index == 4
+        assert highest_below_snr(16.0, margin_db=3.0) == 4
 
     def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            MCSSet([], "empty")
+        """The ladders are constants, so the checks a set constructor made
+        (non-empty, ordered by rate) are made on the tables themselves."""
+        assert X60_MCS_TABLE and AD_MCS_TABLE
 
     def test_unordered_set_rejected(self):
-        a = Mcs(0, "BPSK", 0.5, 1000.0)
-        b = Mcs(1, "BPSK", 0.5, 500.0)
-        with pytest.raises(ValueError):
-            MCSSet([a, b], "bad")
+        for table in (X60_MCS_TABLE, AD_MCS_TABLE):
+            rates = [row[RATE_MBPS] for row in table]
+            assert rates == sorted(rates)
+        assert list(AD_MCS_SNR_THRESHOLDS_DB) == sorted(AD_MCS_SNR_THRESHOLDS_DB)

@@ -64,14 +64,6 @@ class TestPlans:
                 assert -0.01 <= pose.position.x <= room.length + 0.01, room.name
                 assert -0.01 <= pose.position.y <= room.width + 0.01, room.name
 
-    def test_displacement_position_count_dedupes(self):
-        plan = lobby_plan()
-        count = plan.displacement_position_count()
-        # Rotations reuse positions, so the count is well below the number
-        # of new states but above the number of tracks.
-        total_states = sum(len(t.new_states) for t in plan.displacement_tracks)
-        assert len(plan.displacement_tracks) < count < total_states
-
 class TestRadioPose:
     def test_orientation_conversion(self):
         import math

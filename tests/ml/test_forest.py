@@ -92,13 +92,6 @@ class TestValidation:
         with pytest.raises(RuntimeError):
             RandomForestClassifier().predict(np.zeros((1, 2)))
 
-    def test_no_bootstrap_mode(self):
-        X, y = moons_like(100)
-        forest = RandomForestClassifier(
-            n_estimators=5, bootstrap=False, random_state=0
-        ).fit(X, y)
-        assert forest.score(X, y) > 0.9
-
     def test_too_few_features_rejected(self):
         # The fused walk gathers from the flattened rows: a narrower X must
         # raise, not read a neighbouring row's value.

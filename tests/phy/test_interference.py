@@ -11,7 +11,7 @@ from repro.env.placement import RadioPose
 from repro.env.rooms import make_lobby
 from repro.phy.antenna import sibeam_codebook
 from repro.phy.channel import Ray
-from repro.phy.error_model import best_throughput_mcs
+from repro.phy.error_model import best_throughput_array
 from repro.phy.interference import (
     Interferer,
     InterferenceField,
@@ -85,8 +85,7 @@ class TestDropCalibration:
         clear = 25.0
         for level, drop in INTERFERENCE_DROP_LEVELS.items():
             sinr = required_sinr_for_drop_db(clear, drop)
-            _, base = best_throughput_mcs(clear)
-            _, degraded = best_throughput_mcs(sinr)
+            _, (base, degraded) = best_throughput_array([clear, sinr])
             assert degraded <= (1.0 - drop) * base + 1e-9
             # Not grossly over-degraded (the ladder is discrete; allow one
             # MCS step of slack).

@@ -24,7 +24,7 @@ from repro.core.rate_adaptation import repair_ladder
 from repro.env.geometry import Point, Segment, mirror_point
 from repro.env.rooms import make_lobby
 from repro.phy.channel import LinkGeometry
-from repro.phy.error_model import best_throughput_mcs, codeword_delivery_ratio
+from repro.phy.error_model import best_throughput_array, codeword_delivery_ratio_array
 from repro.sim.batch import BatchFlowSimulator
 from repro.sim.engine import SimulationConfig
 from repro.sim.vr import BandwidthProfile
@@ -137,13 +137,12 @@ class TestPhyProperties:
     @given(snr, mcs_index)
     @settings(max_examples=100, deadline=None)
     def test_cdr_is_probability(self, value, mcs):
-        assert 0.0 <= codeword_delivery_ratio(value, mcs) <= 1.0
+        assert 0.0 <= codeword_delivery_ratio_array(value)[mcs] <= 1.0
 
     @given(snr)
     @settings(max_examples=60, deadline=None)
     def test_best_throughput_monotone_in_snr(self, value):
-        _, low = best_throughput_mcs(value)
-        _, high = best_throughput_mcs(value + 3.0)
+        _, (low, high) = best_throughput_array([value, value + 3.0])
         assert high >= low - 1e-9
 
     @given(

@@ -234,13 +234,6 @@ class TestMeasurementMemo:
         assert _bits(second) == _bits(link.measure(fresh(), rx, 12, 12, ref_rng))
 
 
-class TestSweepAndMeasure:
-    def test_convenience_returns_best_pair_measurement(self, link, rx):
-        state, m = link.sweep_and_measure(rx)
-        expected = link.sector_sweep(state, rx)[:2]
-        assert (m.tx_beam, m.rx_beam) == expected
-
-
 class TestLinkBudgetShape:
     def test_snr_decays_with_distance(self):
         corridor = make_corridor(3.2, length=30.0)
@@ -248,8 +241,10 @@ class TestLinkBudgetShape:
         snrs = []
         for x in (3.0, 10.0, 20.0, 28.0):
             rx = RadioPose(Point(x, 1.6), 180.0)
-            _, m = link.sweep_and_measure(rx)
-            snrs.append(m.true_snr_db)
+            rng = np.random.default_rng(0)
+            state = link.channel_state(rx, rng=rng)
+            tx_beam, rx_beam, _ = link.sector_sweep(state, rx)
+            snrs.append(link.measure(state, rx, tx_beam, rx_beam, rng).true_snr_db)
         assert snrs == sorted(snrs, reverse=True)
         assert snrs[0] > 25.0  # top MCS up close
         assert snrs[-1] < snrs[0] - 10.0
