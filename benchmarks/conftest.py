@@ -20,6 +20,7 @@ from repro.dataset.builder import (
     build_testing_dataset,
 )
 from repro.ml.forest import RandomForestClassifier
+from repro.sim.sweep import EvaluationGrid, OperatingPoint
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -88,41 +89,18 @@ def libra_policy(three_class_forest):
 
 
 @pytest.fixture(scope="session")
-def make_libra(main_dataset_with_na):
-    """Per-protocol-config LiBRA policies (cached).
+def make_libra(main_dataset_with_na, testing_dataset):
+    """Per-protocol-config LiBRA policies (cached by the grid).
 
     The ground-truth labels depend on (α, BA overhead, FAT), so the paper
     effectively trains one model per operating point (§8.1 assigns α = 0.7
     to the 0.5/5 ms sweeps and α = 0.5 to the 150/250 ms ones).  NA
     entries keep their NA label under any config.
     """
-    from repro.constants import (
-        ALPHA_FOR_HIGH_BA_OVERHEAD,
-        ALPHA_FOR_LOW_BA_OVERHEAD,
-    )
-    from repro.core.ground_truth import GroundTruthConfig
-
-    cache: dict[tuple, LiBRA] = {}
-    X = main_dataset_with_na.feature_matrix()
+    grid = EvaluationGrid(main_dataset_with_na, testing_dataset)
 
     def _make(ba_overhead_s: float, frame_time_s: float) -> LiBRA:
-        alpha = (
-            ALPHA_FOR_LOW_BA_OVERHEAD
-            if ba_overhead_s <= 10e-3
-            else ALPHA_FOR_HIGH_BA_OVERHEAD
-        )
-        key = (alpha, ba_overhead_s, frame_time_s)
-        if key not in cache:
-            config = GroundTruthConfig(
-                alpha=alpha, ba_overhead_s=ba_overhead_s, frame_time_s=frame_time_s
-            )
-            labels = main_dataset_with_na.labels(config)
-            model = RandomForestClassifier(
-                n_estimators=60, max_depth=14, random_state=0
-            )
-            model.fit(X, labels)
-            cache[key] = LiBRA(model)
-        return cache[key]
+        return grid.libra_for(OperatingPoint(ba_overhead_s, frame_time_s))
 
     return _make
 

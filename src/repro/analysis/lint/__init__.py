@@ -2,38 +2,31 @@
 
 A custom AST-based static-analysis pass (stdlib ``ast`` only) that lifts
 this repo's reproducibility invariants — seeded randomness, no wall-clock
-reads in replayed layers, no hash-order leaks, no silently swallowed
-faults, typed trace events, no mutable defaults — into checks that run
-before any test does.  Driven by ``repro lint`` (see ``docs/static-analysis.md``)
-and configured through ``[tool.repro.lint]`` in ``pyproject.toml``.
+reads, no hash-order leaks, no silently swallowed faults, typed trace
+events, no mutable defaults — into checks that run before any test does.
+One fixed rule pack applies to every file it is given, and any finding
+fails the run.  Driven by ``repro lint`` (see ``docs/static-analysis.md``).
 """
 
-from repro.analysis.lint.baseline import Baseline
 from repro.analysis.lint.engine import (
-    LintEngine,
     LintReport,
     LintUsageError,
     collect_files,
-    run_lint,
+    lint_paths,
+    lint_source,
 )
 from repro.analysis.lint.findings import Finding, sort_findings
-from repro.analysis.lint.policy import LintPolicy, find_policy, load_policy
 from repro.analysis.lint.report import (
     explain_rule,
     format_json,
     format_text,
-    is_lint_report,
     rule_pack_lines,
-    summarize_lint_report,
     version_stamp,
 )
 from repro.analysis.lint.rules import REGISTRY, RULE_PACK_VERSION, RULES
 
 __all__ = [
-    "Baseline",
     "Finding",
-    "LintEngine",
-    "LintPolicy",
     "LintReport",
     "LintUsageError",
     "REGISTRY",
@@ -41,14 +34,11 @@ __all__ = [
     "RULE_PACK_VERSION",
     "collect_files",
     "explain_rule",
-    "find_policy",
     "format_json",
     "format_text",
-    "is_lint_report",
-    "load_policy",
+    "lint_paths",
+    "lint_source",
     "rule_pack_lines",
-    "run_lint",
     "sort_findings",
-    "summarize_lint_report",
     "version_stamp",
 ]

@@ -1,12 +1,10 @@
-"""The lint engine: files → AST → rules → suppressions → baseline.
+"""The lint engine: files → AST → rules → report.
 
-Per file the engine parses once, runs every enabled AST rule, folds in
-the suppression-contract findings, and drops findings whose line carries
-a justified ``# repro: noqa[RULE]``.  Across files it applies the
-ratcheting baseline and produces a :class:`LintReport` with stable
-ordering (path, line, column, rule), so text and JSON output — and the
-exit code — are deterministic for a given tree.  The linter holds
-itself to the invariants it checks.
+Per file the engine parses once and runs every AST rule of the pack.
+Across files it produces a :class:`LintReport` with stable ordering
+(path, line, column, rule), so text and JSON output — and the exit code
+— are deterministic for a given tree.  Every finding fails the run.
+The linter holds itself to the invariants it checks.
 """
 
 from __future__ import annotations
@@ -14,29 +12,21 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
-from repro.analysis.lint.baseline import Baseline
-from repro.analysis.lint.findings import (
-    SEVERITY_ERROR,
-    Finding,
-    sort_findings,
-)
-from repro.analysis.lint.policy import LintPolicy, find_policy
+from repro.analysis.lint.findings import Finding, sort_findings
 from repro.analysis.lint.rules import (
     AST_RULES,
     REGISTRY,
     RULE_PACK_VERSION,
     SYNTAX_RULE_ID,
     LintContext,
-    Rule,
 )
-from repro.analysis.lint.suppressions import parse_suppressions
 
 
 class LintUsageError(Exception):
-    """Bad invocation (missing path, unknown rule, unreadable baseline):
-    the CLI maps this to exit code 2, never to a finding."""
+    """Bad invocation (missing or unreadable path): the CLI maps this to
+    exit code 2, never to a finding."""
 
 
 @dataclass
@@ -44,141 +34,64 @@ class LintReport:
     """Everything one lint run produced."""
 
     findings: list[Finding] = field(default_factory=list)
-    stale_baseline: dict[str, int] = field(default_factory=dict)
     files: int = 0
     paths: list[str] = field(default_factory=list)
-    rules: tuple[str, ...] = ()
-
-    @property
-    def active(self) -> list[Finding]:
-        """Findings the baseline did not absorb."""
-        return [f for f in self.findings if not f.baselined]
-
-    @property
-    def failed(self) -> bool:
-        """Does this run fail the gate (any active error-severity finding)?"""
-        return any(f.severity == SEVERITY_ERROR for f in self.active)
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.failed else 0
+        return 1 if self.findings else 0
 
     def summary(self) -> dict:
-        active = self.active
-        return {
-            "files": self.files,
-            "findings": len(self.findings),
-            "active": len(active),
-            "baselined": len(self.findings) - len(active),
-            "stale_baseline": sum(self.stale_baseline.values()),
-        }
+        return {"files": self.files, "findings": len(self.findings)}
 
     def to_dict(self) -> dict:
-        """The ``--format json`` document (see docs/static-analysis.md)."""
+        """The ``--out`` JSON document (see docs/static-analysis.md)."""
         return {
-            "version": 1,
+            "version": 2,
             "rule_pack_version": RULE_PACK_VERSION,
             "rules": [
-                {
-                    "id": REGISTRY[rule_id].id,
-                    "title": REGISTRY[rule_id].title,
-                    "severity": REGISTRY[rule_id].severity,
-                }
-                for rule_id in self.rules
+                {"id": rule.id, "title": rule.title}
+                for rule in REGISTRY.values()
             ],
             "paths": list(self.paths),
             "findings": [f.to_dict() for f in self.findings],
-            "stale_baseline": dict(self.stale_baseline),
             "summary": self.summary(),
         }
 
 
-class LintEngine:
-    """One configured lint run (policy + rule selection + baseline)."""
+def lint_source(source: str, path: str = "<string>") -> list[Finding]:
+    """All findings for one source blob."""
+    path = path.replace("\\", "/")
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as error:
+        return [Finding(
+            path=path, line=error.lineno or 1, col=error.offset or 0,
+            rule=SYNTAX_RULE_ID,
+            message=f"file does not parse: {error.msg}",
+        )]
+    context = LintContext(path, tree)
+    findings: list[Finding] = []
+    for rule in AST_RULES:
+        findings.extend(rule.check(context))
+    return sort_findings(findings)
 
-    def __init__(
-        self,
-        policy: Optional[LintPolicy] = None,
-        rules: Optional[Sequence[str]] = None,
-        baseline: Optional[Baseline] = None,
-    ):
-        self.policy = policy if policy is not None else LintPolicy()
-        if rules is None:
-            selected = tuple(REGISTRY)
-        else:
-            unknown = sorted(set(rules) - set(REGISTRY))
-            if unknown:
-                raise LintUsageError(
-                    f"unknown rule(s): {', '.join(unknown)} "
-                    f"(known: {', '.join(sorted(REGISTRY))})"
-                )
-            selected = tuple(dict.fromkeys(rules))
-        self.rule_ids = selected
-        self.baseline = baseline if baseline is not None else Baseline()
 
-    # -- single file ------------------------------------------------------
-
-    def lint_source(self, source: str, path: str = "<string>") -> list[Finding]:
-        """All findings for one source blob (suppressions applied,
-        baseline not)."""
-        path = path.replace("\\", "/")
+def lint_paths(paths: Sequence[str]) -> LintReport:
+    """Lint every ``*.py`` file under ``paths`` with the whole pack."""
+    files = collect_files(paths)
+    findings: list[Finding] = []
+    for file_path, display in files:
         try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as error:
-            rule = REGISTRY[SYNTAX_RULE_ID]
-            return [Finding(
-                path=path, line=error.lineno or 1, col=error.offset or 0,
-                rule=SYNTAX_RULE_ID,
-                message=f"file does not parse: {error.msg}",
-                severity=self.policy.severity_for(
-                    SYNTAX_RULE_ID, rule.severity
-                ),
-            )]
-        context = LintContext(path, source, tree, self.policy)
-        suppressions, noqa_findings = parse_suppressions(
-            source, path, frozenset(REGISTRY)
-        )
-        findings: list[Finding] = []
-        for rule in self._active_rules(path):
-            findings.extend(rule.check(context))
-        findings.extend(
-            f for f in noqa_findings
-            if self.policy.rule_enabled(f.rule, path) and f.rule in self.rule_ids
-        )
-        kept = []
-        for finding in findings:
-            suppression = suppressions.get(finding.line)
-            if suppression is not None and suppression.covers(finding.rule):
-                continue
-            kept.append(finding)
-        return sort_findings(kept)
-
-    def _active_rules(self, path: str) -> Iterable[Rule]:
-        for rule in AST_RULES:
-            if rule.id in self.rule_ids and self.policy.rule_enabled(
-                rule.id, path
-            ):
-                yield rule
-
-    # -- many files -------------------------------------------------------
-
-    def lint_paths(self, paths: Sequence[str]) -> LintReport:
-        files = collect_files(paths)
-        findings: list[Finding] = []
-        for file_path, display in files:
-            try:
-                source = file_path.read_text()
-            except OSError as error:
-                raise LintUsageError(f"cannot read {display}: {error}")
-            findings.extend(self.lint_source(source, display))
-        findings, stale = self.baseline.apply(sort_findings(findings))
-        return LintReport(
-            findings=findings,
-            stale_baseline=stale,
-            files=len(files),
-            paths=[str(p) for p in paths],
-            rules=self.rule_ids,
-        )
+            source = file_path.read_text()
+        except OSError as error:
+            raise LintUsageError(f"cannot read {display}: {error}")
+        findings.extend(lint_source(source, display))
+    return LintReport(
+        findings=sort_findings(findings),
+        files=len(files),
+        paths=[str(p) for p in paths],
+    )
 
 
 def collect_files(paths: Sequence[str]) -> list[tuple[Path, str]]:
@@ -186,8 +99,7 @@ def collect_files(paths: Sequence[str]) -> list[tuple[Path, str]]:
 
     Directories recurse to ``*.py`` in sorted order; a missing path is a
     usage error.  Display paths stay relative to what the caller typed,
-    so finding fingerprints are stable regardless of the absolute
-    checkout location.
+    so reports do not depend on the absolute checkout location.
     """
     collected: list[tuple[Path, str]] = []
     for raw in paths:
@@ -202,54 +114,3 @@ def collect_files(paths: Sequence[str]) -> list[tuple[Path, str]]:
         else:
             raise LintUsageError(f"no such file or directory: {raw}")
     return collected
-
-
-def run_lint(
-    paths: Sequence[str],
-    *,
-    rules: Optional[Sequence[str]] = None,
-    baseline_path: Optional[str] = None,
-    policy: Optional[LintPolicy] = None,
-) -> tuple[LintReport, LintEngine]:
-    """The CLI's one-call entry point.
-
-    Resolves the policy from the nearest ``pyproject.toml`` above the
-    first path (unless one is passed), falls back to the policy's
-    default ``paths``/``baseline``, and returns the report plus the
-    configured engine (the CLI reuses it for ``--update-baseline``).
-    """
-    root: Optional[Path] = None
-    if policy is None:
-        anchor = Path(paths[0]) if paths else Path.cwd()
-        if not anchor.exists():
-            raise LintUsageError(f"no such file or directory: {anchor}")
-        try:
-            policy, root = find_policy(
-                anchor if anchor.is_dir() else anchor.parent
-            )
-        except ValueError as error:
-            raise LintUsageError(str(error))
-    if not paths:
-        if not policy.paths:
-            raise LintUsageError(
-                "no paths given and [tool.repro.lint] sets no default `paths`"
-            )
-        base = root if root is not None else Path.cwd()
-        paths = [str(base / p) for p in policy.paths]
-    baseline = Baseline()
-    if baseline_path is not None:
-        if not Path(baseline_path).is_file():
-            raise LintUsageError(f"baseline file not found: {baseline_path}")
-        try:
-            baseline = Baseline.load(Path(baseline_path))
-        except ValueError as error:
-            raise LintUsageError(str(error))
-    elif policy.baseline is not None:
-        candidate = (root or Path.cwd()) / policy.baseline
-        if candidate.is_file():
-            try:
-                baseline = Baseline.load(candidate)
-            except ValueError as error:
-                raise LintUsageError(str(error))
-    engine = LintEngine(policy=policy, rules=rules, baseline=baseline)
-    return engine.lint_paths(paths), engine

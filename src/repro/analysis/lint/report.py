@@ -1,9 +1,4 @@
-"""Rendering: lint reports as terminal text, JSON, and ``--explain`` pages.
-
-Also home of :func:`summarize_lint_report`, which lets ``repro inspect``
-render a saved ``--format json`` report (stamped with the rule-pack
-version) the same way it renders decision traces.
-"""
+"""Rendering: lint reports as terminal text, JSON, and ``--explain`` pages."""
 
 from __future__ import annotations
 
@@ -20,85 +15,29 @@ def version_stamp() -> str:
 
 
 def rule_pack_lines() -> list[str]:
-    """The stamped rule listing (``--version`` epilogue, inspect block)."""
+    """The stamped rule listing printed by ``repro lint --version``."""
     lines = [version_stamp()]
     for rule_id in sorted(REGISTRY):
-        rule = REGISTRY[rule_id]
-        lines.append(f"  {rule_id}  [{rule.severity:>7}]  {rule.title}")
+        lines.append(f"  {rule_id}  {REGISTRY[rule_id].title}")
     return lines
 
 
 def explain_rule(rule_id: str) -> str:
     """The ``--explain RULE`` page; raises ``KeyError`` on unknown ids."""
     rule = REGISTRY[rule_id]
-    header = f"{rule.id} — {rule.title} (default severity: {rule.severity})"
     body = textwrap.dedent(rule.explain).strip()
-    return f"{header}\n\n{body}\n"
+    return f"{rule.id} — {rule.title}\n\n{body}\n"
 
 
 def format_text(report: LintReport) -> list[str]:
-    """Terminal lines: findings first, then the stale/summary footer."""
+    """Terminal lines: findings first, then the summary footer."""
     lines = [finding.render() for finding in report.findings]
-    if report.stale_baseline:
-        lines.append("")
-        lines.append(
-            f"stale baseline entries ({sum(report.stale_baseline.values())} "
-            "fixed findings still budgeted — run --update-baseline to prune):"
-        )
-        for fingerprint, count in report.stale_baseline.items():
-            lines.append(f"  {fingerprint} ×{count}")
-    summary = report.summary()
     lines.append("")
     lines.append(
-        f"{summary['files']} files checked: {summary['active']} finding(s)"
-        f" ({summary['baselined']} baselined, "
-        f"{summary['stale_baseline']} stale baseline)"
+        f"{report.files} files checked: {len(report.findings)} finding(s)"
     )
     return lines
 
 
 def format_json(report: LintReport) -> str:
     return json.dumps(report.to_dict(), indent=2)
-
-
-def is_lint_report(payload) -> bool:
-    return isinstance(payload, dict) and "rule_pack_version" in payload
-
-
-def summarize_lint_report(payload: dict) -> list[str]:
-    """Render a saved ``--format json`` report for ``repro inspect``."""
-    pack = payload.get("rule_pack_version")
-    summary = payload.get("summary", {})
-    findings = payload.get("findings", [])
-    lines = [
-        f"lint report (rule pack v{pack}): "
-        f"{summary.get('files', '?')} files, "
-        f"{summary.get('active', '?')} active finding(s), "
-        f"{summary.get('baselined', 0)} baselined",
-        "rule pack:",
-    ]
-    counts: dict[str, int] = {}
-    for finding in findings:
-        counts[finding.get("rule", "?")] = counts.get(finding.get("rule", "?"), 0) + 1
-    for entry in payload.get("rules", []):
-        rule_id = entry.get("id", "?")
-        hit = counts.get(rule_id, 0)
-        suffix = f"  ×{hit}" if hit else ""
-        lines.append(
-            f"  {rule_id}  [{entry.get('severity', '?'):>7}]  "
-            f"{entry.get('title', '')}{suffix}"
-        )
-    active = [f for f in findings if not f.get("baselined")]
-    if active:
-        lines.append("active findings:")
-        for finding in active[:20]:
-            lines.append(
-                f"  {finding.get('path')}:{finding.get('line')}: "
-                f"{finding.get('rule')} {finding.get('message')}"
-            )
-        if len(active) > 20:
-            lines.append(f"  … and {len(active) - 20} more")
-    stale = payload.get("stale_baseline", {})
-    if stale:
-        lines.append(f"stale baseline entries: {sum(stale.values())}")
-    return lines

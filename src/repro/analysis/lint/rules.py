@@ -1,19 +1,19 @@
 """The rule pack: this codebase's determinism & contract invariants as AST checks.
 
-Every rule is a small class with an id, a default severity, a one-line
-title, and an ``explain`` block (rendered by ``repro lint --explain``)
-showing a bad and a good example.  Rules receive a :class:`LintContext`
-— the parsed tree, the file's import alias map, and the active policy —
-and yield :class:`~repro.analysis.lint.findings.Finding` objects.
+Every rule is a small class with an id, a one-line title, and an
+``explain`` block (rendered by ``repro lint --explain``) showing a bad
+and a good example.  Rules receive a :class:`LintContext` — the parsed
+tree and the file's import alias map — and yield
+:class:`~repro.analysis.lint.findings.Finding` objects.  Every rule
+applies to every file; there are no path scopes and no suppressions.
 
 The pack is versioned (:data:`RULE_PACK_VERSION`): bump it when a rule's
-meaning changes, so baselines and JSON reports stay interpretable.
+meaning changes, so JSON reports stay interpretable.
 
 Static analysis is necessarily heuristic — DET003/DET004 track set-typed
-values through *single-assignment local names only* — so every rule
-supports ``# repro: noqa[RULE] -- justification`` for the cases it gets
-wrong.  False negatives are the parity suite's job; these rules exist to
-catch the regressions the suite's finite configurations would miss.
+values through *single-assignment local names only*.  False negatives
+are the golden suite's job; these rules exist to catch the regressions
+the suite's finite configurations would miss.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, Optional
 
-from repro.analysis.lint.findings import SEVERITY_ERROR, Finding
-from repro.analysis.lint.policy import LintPolicy
-from repro.analysis.lint.suppressions import NOQA_RULE_ID
+from repro.analysis.lint.findings import Finding
 
-RULE_PACK_VERSION = 1
+RULE_PACK_VERSION = 2
 
 SYNTAX_RULE_ID = "SYN001"
 
@@ -71,12 +69,9 @@ class ImportMap:
 class LintContext:
     """Everything one file's rules get to see."""
 
-    def __init__(self, path: str, source: str, tree: ast.Module,
-                 policy: LintPolicy):
+    def __init__(self, path: str, tree: ast.Module):
         self.path = path.replace("\\", "/")
-        self.source = source
         self.tree = tree
-        self.policy = policy
         self.imports = ImportMap(tree)
 
     def qualified(self, node: ast.AST) -> Optional[str]:
@@ -88,7 +83,6 @@ class Rule:
 
     id: str = ""
     title: str = ""
-    severity: str = SEVERITY_ERROR
     explain: str = ""
 
     def check(self, context: LintContext) -> Iterator[Finding]:
@@ -102,7 +96,6 @@ class Rule:
             col=getattr(node, "col_offset", 0),
             rule=self.id,
             message=message,
-            severity=context.policy.severity_for(self.id, self.severity),
         )
 
 
@@ -224,8 +217,7 @@ _NUMPY_LEGACY_FNS = frozenset({
 
 class UnseededRandomnessRule(Rule):
     id = "DET001"
-    title = "unseeded randomness outside sanctioned seeding modules"
-    severity = SEVERITY_ERROR
+    title = "unseeded randomness"
     explain = """\
 Every stochastic draw must flow from an explicit seed, threaded through
 `numpy.random.Generator` objects (see `repro.runtime.child_rng`).  The
@@ -244,13 +236,11 @@ Good:
     rng = np.random.default_rng(seed)        # explicit seed
     jitter = rng.uniform(0.0, 1.0)
 
-Modules listed in `seed-sanctuaries` (the runtime's per-worker
-SeedSequence plumbing) are exempt.
+No module is exempt: the runtime's per-worker streams are seeded too
+(`default_rng(SeedSequence((master_seed, index, domain)))`).
 """
 
     def check(self, context: LintContext) -> Iterator[Finding]:
-        if context.policy.in_seed_sanctuary(context.path):
-            return
         for node in ast.walk(context.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -311,7 +301,6 @@ _WALL_CLOCK_CALLS = {
 class WallClockRule(Rule):
     id = "DET002"
     title = "wall-clock or environment read inside a deterministic layer"
-    severity = SEVERITY_ERROR
     explain = """\
 `sim/`, `ml/`, `phy/`, and `core/` produce byte-identical outputs for a
 given seed — that is the repo's §8 replay contract.  Reading the wall
@@ -331,12 +320,10 @@ Good:
         ...
     def run(..., fast: bool = False):
 
-The scope comes from `deterministic-paths` in [tool.repro.lint].
+The rule applies to every file `repro lint` is given.
 """
 
     def check(self, context: LintContext) -> Iterator[Finding]:
-        if not context.policy.in_deterministic_scope(context.path):
-            return
         flagged: set[tuple[int, int]] = set()
 
         def mark(node: ast.AST) -> bool:
@@ -378,7 +365,6 @@ _ACCUMULATING_ATTRS = frozenset({"append", "extend", "write"})
 class SetOrderingRule(Rule):
     id = "DET003"
     title = "set iteration order leaks into an ordered result"
-    severity = SEVERITY_ERROR
     explain = """\
 Python set iteration order depends on insertion history and string hash
 randomization (PYTHONHASHSEED): identical inputs can serialize, trace,
@@ -478,7 +464,6 @@ _REDUCER_QUALIFIED = frozenset({
 class UnorderedReductionRule(Rule):
     id = "DET004"
     title = "float reduction over an unordered collection"
-    severity = SEVERITY_ERROR
     explain = """\
 Float addition is not associative: `sum(values)` over a set (or a
 generator draining a set) gives bit-different totals when hash order
@@ -535,7 +520,6 @@ _BROAD_NAMES = frozenset({"Exception", "BaseException"})
 class SwallowedExceptionRule(Rule):
     id = "ROB001"
     title = "broad except swallows the failure without evidence"
-    severity = SEVERITY_ERROR
     explain = """\
 `repro.faults` injects failures on purpose; a `except Exception:` (or
 bare `except:`) that neither re-raises nor emits evidence would mask
@@ -620,7 +604,6 @@ _EVENT_ARG_LITERALS = (
 class UntypedTraceEventRule(Rule):
     id = "OBS001"
     title = "trace emission bypasses the typed-event contract"
-    severity = SEVERITY_ERROR
     explain = """\
 Recorders accept exactly one typed event per `record()` call — a
 dataclass from `repro.obs.events` whose `to_dict()` stamps the `type`
@@ -697,7 +680,6 @@ def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
 class MutableDefaultRule(Rule):
     id = "API001"
     title = "mutable default argument or dataclass field"
-    severity = SEVERITY_ERROR
     explain = """\
 A mutable default (`def f(x, acc=[])`, `history: list = []`) is created
 once and shared across every call or instance: state leaks between
@@ -762,32 +744,7 @@ Good:
 
 
 # --------------------------------------------------------------------------
-# Engine-driven pseudo-rules, registered so --explain and policy cover them.
-
-
-class SuppressionContractRule(Rule):
-    """Emitted by the suppression parser, not by an AST walk."""
-
-    id = NOQA_RULE_ID
-    title = "malformed or unjustified inline suppression"
-    severity = SEVERITY_ERROR
-    explain = """\
-Inline suppressions must name real rules and say *why* the finding is
-safe, so every hole in the static contract is reviewable:
-
-Bad:
-    x = clock()  # repro: noqa[DET002]
-    x = clock()  # repro: noqa[DET02] -- typo'd rule silences nothing
-
-Good:
-    x = clock()  # repro: noqa[DET002] -- bench harness, not replayed
-
-A suppression with no justification, an empty rule list, or an unknown
-rule id is itself a finding.
-"""
-
-    def check(self, context: LintContext) -> Iterator[Finding]:
-        return iter(())
+# SYN001 — emitted by the engine, registered so --explain covers it.
 
 
 class SyntaxErrorRule(Rule):
@@ -795,11 +752,9 @@ class SyntaxErrorRule(Rule):
 
     id = SYNTAX_RULE_ID
     title = "file does not parse"
-    severity = SEVERITY_ERROR
     explain = """\
 A file that fails `ast.parse` cannot be checked at all, so it fails the
-lint run outright.  Fix the syntax error; there is no suppression for
-this rule (there is no line to attach one to).
+lint run outright.  Fix the syntax error.
 """
 
     def check(self, context: LintContext) -> Iterator[Finding]:
@@ -814,13 +769,11 @@ RULES: tuple[Rule, ...] = (
     SwallowedExceptionRule(),
     UntypedTraceEventRule(),
     MutableDefaultRule(),
-    SuppressionContractRule(),
     SyntaxErrorRule(),
 )
 
 REGISTRY: dict[str, Rule] = {rule.id: rule for rule in RULES}
 
 AST_RULES: tuple[Rule, ...] = tuple(
-    rule for rule in RULES
-    if rule.id not in (NOQA_RULE_ID, SYNTAX_RULE_ID)
+    rule for rule in RULES if rule.id != SYNTAX_RULE_ID
 )

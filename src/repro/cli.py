@@ -6,8 +6,7 @@ Covers the full pipeline without writing any Python:
 * ``train``    — fit the LiBRA forest on a saved dataset, save the model;
 * ``evaluate`` — replay a saved dataset against LiBRA/heuristics/oracle;
 * ``cots``     — run one §3 motivation session and print its story;
-* ``inspect``  — summarise a ``--trace`` decision-trace JSONL (or a
-  ``repro lint --format json`` report);
+* ``inspect``  — summarise a ``--trace`` decision-trace JSONL;
 * ``lint``     — the AST-based determinism & contract linter
   (see ``docs/static-analysis.md``).
 
@@ -147,13 +146,9 @@ def _add_chaos_parser(subparsers) -> None:
 def _add_inspect_parser(subparsers) -> None:
     parser = subparsers.add_parser(
         "inspect",
-        help="summarise a decision-trace JSONL (from --trace) or a lint report",
+        help="summarise a decision-trace JSONL (from --trace)",
     )
-    parser.add_argument(
-        "trace",
-        help="JSONL trace from `--trace PATH`, or a `repro lint --format "
-        "json` report",
-    )
+    parser.add_argument("trace", help="JSONL trace from `--trace PATH`")
 
 
 def _add_lint_parser(subparsers) -> None:
@@ -167,30 +162,12 @@ def _add_lint_parser(subparsers) -> None:
     )
     parser.add_argument(
         "paths", nargs="*",
-        help="files or directories to lint (default: the `paths` list in "
-        "[tool.repro.lint])",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format on stdout (default: text)",
-    )
-    parser.add_argument(
-        "--rules", action="append", metavar="RULES",
-        help="comma-separated rule ids to run (repeatable; default: all)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE",
-        help="ratcheting baseline: findings budgeted here do not fail the "
-        "run (default: the `baseline` path in [tool.repro.lint], if present)",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite --baseline FILE from the current findings (prunes "
-        "fixed entries; the run itself exits 0)",
+        help="files or directories to lint (required unless --explain or "
+        "--version)",
     )
     parser.add_argument(
         "--out", metavar="FILE",
-        help="also write the JSON report to FILE (independent of --format)",
+        help="also write the JSON report to FILE",
     )
     parser.add_argument(
         "--explain", metavar="RULE",
@@ -455,26 +432,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    import json
-
-    from repro.analysis.lint import is_lint_report, summarize_lint_report
     from repro.obs.inspect import summarize_trace
     from repro.obs.trace import read_trace
 
-    # A lint report is one JSON document stamped with the rule-pack
-    # version; a decision trace is one event per line.  Try the report
-    # shape first — a multi-line trace fails json.loads and falls through.
-    try:
-        with open(args.trace) as handle:
-            payload = json.load(handle)
-    except OSError as error:
-        return _fail(str(error))
-    except json.JSONDecodeError:
-        payload = None
-    if is_lint_report(payload):
-        for line in summarize_lint_report(payload):
-            print(line)
-        return 0
     try:
         lines = summarize_trace(read_trace(args.trace))
     except (OSError, ValueError) as error:
@@ -488,13 +448,12 @@ def _cmd_lint(args) -> int:
     from pathlib import Path
 
     from repro.analysis.lint import (
-        Baseline,
         LintUsageError,
         explain_rule,
         format_json,
         format_text,
+        lint_paths,
         rule_pack_lines,
-        run_lint,
     )
 
     if args.version:
@@ -509,45 +468,20 @@ def _cmd_lint(args) -> int:
                          "--version` for the pack listing)")
         print(page)
         return 0
-    if args.update_baseline and not args.baseline:
-        return _fail("--update-baseline requires --baseline FILE")
-    rules = None
-    if args.rules:
-        rules = [
-            rule.strip()
-            for chunk in args.rules for rule in chunk.split(",")
-            if rule.strip()
-        ]
-    baseline_path = args.baseline
-    if (args.update_baseline and baseline_path is not None
-            and not Path(baseline_path).is_file()):
-        baseline_path = None  # creating the baseline on this run
+    if not args.paths:
+        return _fail("no paths given: name the files or directories to lint")
     try:
-        report, _engine = run_lint(
-            args.paths, rules=rules, baseline_path=baseline_path
-        )
+        report = lint_paths(args.paths)
     except LintUsageError as error:
         return _fail(str(error))
-    if args.format == "json":
-        print(format_json(report))
-    else:
-        for line in format_text(report):
-            print(line)
+    for line in format_text(report):
+        print(line)
     if args.out:
         try:
             Path(args.out).write_text(format_json(report) + "\n")
         except OSError as error:
             return _fail(f"cannot write report '{args.out}': {error}")
-        if args.format != "json":
-            print(f"json report written to {args.out}")
-    if args.update_baseline:
-        baseline = Baseline.from_findings(report.findings)
-        try:
-            baseline.save(Path(args.baseline))
-        except OSError as error:
-            return _fail(f"cannot write baseline '{args.baseline}': {error}")
-        print(f"baseline updated: {len(baseline)} entrie(s) -> {args.baseline}")
-        return 0
+        print(f"json report written to {args.out}")
     return report.exit_code
 
 

@@ -1,20 +1,17 @@
-"""Per-rule fixtures: every shipped rule catches its positive snippet,
-passes its negative, and honours a justified suppression."""
+"""Per-rule fixtures: every shipped rule catches its positive snippet
+and passes its negative, on any path, with no way to silence it."""
 
 import textwrap
 
-import pytest
-
-from repro.analysis.lint import LintEngine, LintPolicy
+from repro.analysis.lint import lint_source
 
 DET_PATH = "src/repro/sim/fake.py"
-"""A path inside the default deterministic scope (for DET002)."""
+"""A replayed-layer path (the pack has no path scopes; any path would do)."""
 PLAIN_PATH = "src/repro/tools/fake.py"
 
 
-def lint(source, path=PLAIN_PATH, policy=None, rules=None):
-    engine = LintEngine(policy=policy, rules=rules)
-    return engine.lint_source(textwrap.dedent(source), path)
+def lint(source, path=PLAIN_PATH):
+    return lint_source(textwrap.dedent(source), path)
 
 
 def rule_ids(findings):
@@ -83,21 +80,21 @@ class TestDET001UnseededRandomness:
             """)
         assert findings == []
 
-    def test_seed_sanctuary_exempt(self):
+    def test_runtime_module_is_not_exempt(self):
         findings = lint("""\
             import numpy as np
 
             rng = np.random.default_rng()
             """, path="src/repro/runtime/shard.py")
-        assert findings == []
+        assert rule_ids(findings) == ["DET001"]
 
-    def test_suppression_with_justification(self):
+    def test_justified_noqa_comment_does_not_silence(self):
         findings = lint("""\
             import numpy as np
 
             rng = np.random.default_rng()  # repro: noqa[DET001] -- interactive demo only
             """)
-        assert findings == []
+        assert rule_ids(findings) == ["DET001"]
 
 
 class TestDET002WallClock:
@@ -128,14 +125,14 @@ class TestDET002WallClock:
         assert rule_ids(findings) == ["DET002"]
         assert "os.environ" in findings[0].message
 
-    def test_outside_scope_passes(self):
+    def test_wall_clock_outside_replayed_layers_flagged(self):
         findings = lint("""\
             import time
 
             def stamp():
                 return time.time()
-            """, path="benchmarks/bench_fake.py")
-        assert findings == []
+            """, path="src/repro/testbed/fake.py")
+        assert rule_ids(findings) == ["DET002"]
 
     def test_monotonic_perf_counter_passes(self):
         findings = lint("""\
@@ -143,14 +140,6 @@ class TestDET002WallClock:
 
             def tick():
                 return time.perf_counter()
-            """, path=DET_PATH)
-        assert findings == []
-
-    def test_suppression(self):
-        findings = lint("""\
-            import time
-
-            t = time.time()  # repro: noqa[DET002] -- log banner only, never replayed
             """, path=DET_PATH)
         assert findings == []
 
@@ -221,13 +210,6 @@ class TestDET003SetOrdering:
             """)
         assert findings == []
 
-    def test_suppression(self):
-        findings = lint("""\
-            def report(kinds):
-                return ", ".join(set(kinds))  # repro: noqa[DET003] -- display only, order-free downstream
-            """)
-        assert findings == []
-
 
 class TestDET004UnorderedReduction:
     def test_sum_over_set_flagged(self):
@@ -276,13 +258,6 @@ class TestDET004UnorderedReduction:
         findings = lint("""\
             def total(values):
                 return sum(values)
-            """)
-        assert findings == []
-
-    def test_suppression(self):
-        findings = lint("""\
-            def total(weights):
-                return sum(set(weights))  # repro: noqa[DET004] -- integer counts, associative
             """)
         assert findings == []
 
@@ -364,16 +339,6 @@ class TestROB001SwallowedException:
             """)
         assert findings == []
 
-    def test_suppression(self):
-        findings = lint("""\
-            def run(task):
-                try:
-                    return task()
-                except Exception:  # repro: noqa[ROB001] -- demo script, errors shown to the user
-                    return None
-            """)
-        assert findings == []
-
 
 class TestOBS001UntypedTraceEvent:
     def test_dict_payload_flagged(self):
@@ -410,13 +375,6 @@ class TestOBS001UntypedTraceEvent:
         findings = lint("""\
             def emit(recorder, event):
                 recorder.record(event)
-            """)
-        assert findings == []
-
-    def test_suppression(self):
-        findings = lint("""\
-            def emit(recorder):
-                recorder.record({"raw": 1})  # repro: noqa[OBS001] -- third-party recorder, own schema
             """)
         assert findings == []
 
@@ -477,90 +435,9 @@ class TestAPI001MutableDefault:
             """)
         assert findings == []
 
-    def test_suppression(self):
-        findings = lint("""\
-            def cache(store={}):  # repro: noqa[API001] -- intentional process-lifetime memo
-                return store
-            """)
-        assert findings == []
-
-
-class TestNOQA001SuppressionContract:
-    def test_missing_justification_flagged(self):
-        findings = lint("""\
-            import time
-
-            t = time.time()  # repro: noqa[DET002]
-            """, path=DET_PATH)
-        assert sorted(rule_ids(findings)) == ["DET002", "NOQA001"]
-
-    def test_unknown_rule_flagged(self):
-        findings = lint("""\
-            x = 1  # repro: noqa[DET999] -- not a rule
-            """)
-        assert rule_ids(findings) == ["NOQA001"]
-
-    def test_empty_rule_list_flagged(self):
-        findings = lint("""\
-            x = 1  # repro: noqa[] -- nothing named
-            """)
-        assert rule_ids(findings) == ["NOQA001"]
-
-    def test_suppression_only_covers_named_rule(self):
-        findings = lint("""\
-            import time
-
-            t = time.time()  # repro: noqa[DET001] -- wrong rule named
-            """, path=DET_PATH)
-        assert rule_ids(findings) == ["DET002"]
-
-    def test_noqa_in_docstring_is_not_a_suppression(self):
-        findings = lint('''\
-            def helper():
-                """Write `# repro: noqa[RULE]` to suppress a finding."""
-                return 1
-            ''')
-        assert findings == []
-
 
 class TestSYN001Syntax:
     def test_unparseable_file_is_a_finding(self):
         findings = lint("def broken(:\n    pass\n")
         assert rule_ids(findings) == ["SYN001"]
 
-
-class TestPolicyScoping:
-    def test_rules_selection_limits_pack(self):
-        findings = lint("""\
-            import random
-
-            def run(entries, acc=[]):
-                acc.append(random.random())
-            """, rules=["API001"])
-        assert rule_ids(findings) == ["API001"]
-
-    def test_override_ignores_rule_under_glob(self):
-        from repro.analysis.lint.policy import PolicyOverride
-
-        policy = LintPolicy(overrides=(
-            PolicyOverride(paths=("tests/*",), ignore=("DET001",)),
-        ))
-        source = """\
-            import random
-
-            value = random.random()
-            """
-        assert rule_ids(lint(source, path="tests/fixture.py",
-                             policy=policy)) == []
-        assert rule_ids(lint(source, path="src/fixture.py",
-                             policy=policy)) == ["DET001"]
-
-    def test_severity_override_downgrades(self):
-        policy = LintPolicy(severity={"DET001": "warning"})
-        findings = lint("""\
-            import random
-
-            value = random.random()
-            """, policy=policy)
-        assert rule_ids(findings) == ["DET001"]
-        assert findings[0].severity == "warning"
