@@ -69,7 +69,9 @@ def test_table4_vr_stalls(benchmark, record, main_dataset, make_libra, heuristic
     record("table4_vr", lines)
 
     for (overhead, fat), row in table.items():
-        # LiBRA stalls less often than RA First (the paper's key QoE win).
+        # LiBRA's stall count is within 0.5 of RA First's at every point.
+        # It is not always lower: at 250 ms / 2 ms LiBRA has 2.68 stalls
+        # and RA First 2.64.
         assert row["LiBRA"][1] <= row["RA First"][1] + 0.5, (overhead, fat)
         # Oracle-Data has the fewest stalls of all.
         fewest = min(count for _, count in row.values())
@@ -80,7 +82,8 @@ def test_table4_vr_stalls(benchmark, record, main_dataset, make_libra, heuristic
     cheap = table[(0.5e-3, 2e-3)]
     assert cheap["LiBRA"][1] < 0.7 * cheap["RA First"][1] + 0.5
 
-    # With a 250 ms sweep, BA-ish policies trade longer individual stalls
-    # for fewer of them (the paper's Oracle-Data shows 236.7 ms / 6.1).
+    # With a 250 ms sweep, Oracle-Data has no more stalls than
+    # Oracle-Delay.  BA-ish stalls are also shorter there:
+    # BA First's mean stall lasts 325.0 ms and RA First's 10,899.7 ms.
     slow = table[(250e-3, 2e-3)]
     assert slow["Oracle-Data"][1] <= slow["Oracle-Delay"][1]

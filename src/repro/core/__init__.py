@@ -24,7 +24,6 @@ from repro.core.observation import (
     MetricWindow,
     WindowSnapshot,
 )
-from repro.core.history import BlockagePatternLearner
 
 __all__ = [
     "FeatureVector",
@@ -46,5 +45,4 @@ __all__ = [
     "FrameFeedback",
     "MetricWindow",
     "WindowSnapshot",
-    "BlockagePatternLearner",
 ]

@@ -92,19 +92,6 @@ class Segment:
     def midpoint(self) -> Point:
         return Point((self.a.x + self.b.x) / 2.0, (self.a.y + self.b.y) / 2.0)
 
-    def contains_projection(self, p: Point) -> bool:
-        """True when ``p`` projects onto the segment (not its extension)."""
-        d = self.b - self.a
-        t = (p - self.a).dot(d) / max(d.dot(d), _EPS)
-        return -_EPS <= t <= 1.0 + _EPS
-
-    def distance_to_point(self, p: Point) -> float:
-        d = self.b - self.a
-        t = (p - self.a).dot(d) / max(d.dot(d), _EPS)
-        t = min(1.0, max(0.0, t))
-        closest = self.a + d * t
-        return closest.distance_to(p)
-
 
 def mirror_point(p: Point, wall: Segment) -> Point:
     """Reflect ``p`` across the infinite line through ``wall`` (image method)."""

@@ -39,9 +39,6 @@ class RadioPose:
     position: Point
     orientation_deg: float
 
-    def orientation_rad(self) -> float:
-        return math.radians(self.orientation_deg)
-
 
 @dataclass(frozen=True)
 class DisplacementTrack:

@@ -15,7 +15,6 @@ with fewer reflective surfaces).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.env.geometry import Point, Segment
 
@@ -55,9 +54,6 @@ class Room:
     def obstacles(self) -> list[Segment]:
         """Segments that can block a ray (clutter only; walls bound the room)."""
         return self.clutter
-
-    def iter_walls(self) -> Iterator[Segment]:
-        return iter(self.walls)
 
 
 def _rect_walls(

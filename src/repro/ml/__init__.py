@@ -18,8 +18,6 @@ from repro.ml.model_selection import (
     train_test_evaluate,
 )
 from repro.ml.metrics import accuracy_score, f1_score_weighted, confusion_matrix
-from repro.ml.tuning import GridSearch, GridResult
-from repro.ml.online import OnlineForest
 from repro.ml.persistence import save_forest, load_forest
 
 __all__ = [
@@ -36,9 +34,6 @@ __all__ = [
     "accuracy_score",
     "f1_score_weighted",
     "confusion_matrix",
-    "GridSearch",
-    "GridResult",
-    "OnlineForest",
     "save_forest",
     "load_forest",
 ]

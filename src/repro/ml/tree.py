@@ -358,6 +358,3 @@ class DecisionTreeClassifier(Estimator):
     def depth(self) -> int:
         """Actual depth of the grown tree (0 for a stump/leaf-only tree)."""
         return self.node_table().depth
-
-    def node_count(self) -> int:
-        return len(self.node_table().feat)

@@ -66,16 +66,6 @@ class FlowEvent:
     room: str = ""
     position: str = ""
 
-    @property
-    def ra_then_ba_fallback(self) -> bool:
-        """Did a failed same-pair RA round cascade into the BA fallback?"""
-        return (
-            self.ba_invoked
-            and bool(self.repairs)
-            and self.repairs[0].pair == "same"
-            and self.repairs[0].failed
-        )
-
     def to_dict(self) -> dict:
         record = asdict(self)
         record["type"] = "flow"

@@ -104,11 +104,6 @@ class ChannelState:
         total_mw = 10.0 ** (self.noise_dbm / 10.0) + 10.0 ** (interference_dbm / 10.0)
         return 10.0 * math.log10(total_mw)
 
-    def strongest_ray(self) -> Optional[Ray]:
-        if not self.rays:
-            return None
-        return min(self.rays, key=lambda r: r.loss_db)
-
 
 # ---------------------------------------------------------------------------
 # Received power / SNR for beam pairs

@@ -33,7 +33,6 @@ from repro.core.observation import (
     WindowSnapshot,
     feedback_rejection,
 )
-from repro.core.history import BlockagePatternLearner
 from repro.core.metrics import feature_deltas
 from repro.core.policies import LinkAdaptationPolicy, Observation, decide_or_degrade
 from repro.core.rate_adaptation import (
@@ -54,12 +53,6 @@ from repro.testbed.x60 import X60Link
 
 FRAME_TIME_S = 2e-3
 """Aggregated-frame duration (FAT) of every live session."""
-
-PREARM_GUARD_S = 0.12
-"""Pre-arm when the pattern learner predicts a break within this window."""
-
-PREARM_MCS_DROP = 4
-"""MCS rungs a pre-arm drops the rate by."""
 
 SWEEP_RETRY = SweepRetryPolicy()
 """Bounded retry-with-backoff applied when beam training fails."""
@@ -131,11 +124,6 @@ class LiveSession:
         initial_rx: The Rx pose at t = 0.
         ba_overhead_s: Wall-clock cost of one sweep (§8.1 grid).
         seed: Drives measurement noise and sweep noise.
-        pattern_learner: Optional §7-future-work extension: link breaks
-            feed the learner, and when it predicts the next break within
-            :data:`PREARM_GUARD_S` the session pre-emptively drops the MCS
-            :data:`PREARM_MCS_DROP` rungs — paying a small rate cost
-            instead of a full missing-ACK recovery when the hit lands.
         metric_staleness_s: Optional staleness window for ACK-borne
             metrics: feedback measured more than this many seconds ago is
             dropped instead of classified on.  ``None`` disables the check.
@@ -158,7 +146,6 @@ class LiveSession:
         initial_rx: RadioPose,
         ba_overhead_s: float = 5e-3,
         seed: int = 0,
-        pattern_learner: Optional[BlockagePatternLearner] = None,
         metric_staleness_s: Optional[float] = None,
         sweep_min_valid_snr_db: Optional[float] = None,
     ):
@@ -185,8 +172,6 @@ class LiveSession:
         # §7 upward probing state.
         self._since_probe = 0
         self._failed_probes = 0
-        self.pattern_learner = pattern_learner
-        self.prearms = 0
 
     # -- channel plumbing ----------------------------------------------------
 
@@ -402,15 +387,6 @@ class LiveSession:
         while clock < duration_s:
             while pending and pending[0].at_s <= clock:
                 self.apply_event(pending.pop(0))
-            if (
-                self.pattern_learner is not None
-                and self.mcs > 0
-                and self.pattern_learner.should_prearm(clock, PREARM_GUARD_S)
-            ):
-                # Predicted break imminent: pre-drop the rate so the hit
-                # lands on a robust MCS instead of killing the whole frame.
-                self.mcs = max(0, self.mcs - PREARM_MCS_DROP)
-                self.prearms += 1
             payload, feedback = self._frame_outcome(clock)
             log.bytes_delivered += payload
             log.frame_times_s.append(clock)
@@ -439,8 +415,6 @@ class LiveSession:
                     feedback = None  # untrusted metrics == no metrics
 
             if feedback is None:
-                if self.pattern_learner is not None:
-                    self.pattern_learner.record_break(clock)
                 # Missing (or untrusted) Block ACK: Algorithm 1's rule.
                 decision = self.policy.decide(Observation(
                     features=None,

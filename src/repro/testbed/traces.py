@@ -10,7 +10,6 @@ controlled environments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -125,10 +124,6 @@ class StateMeasurement:
     def __post_init__(self) -> None:
         if self.cdr.shape != (X60_NUM_MCS,) or self.throughput_mbps.shape != (X60_NUM_MCS,):
             raise ValueError("per-MCS arrays must have one entry per X60 MCS")
-
-    @property
-    def tof_is_infinite(self) -> bool:
-        return math.isinf(self.tof_ns)
 
     def best_mcs(self, max_mcs: Optional[int] = None) -> Optional[int]:
         """Highest-throughput *working* MCS (≤ ``max_mcs``), or ``None``.

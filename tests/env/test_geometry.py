@@ -68,16 +68,6 @@ class TestSegment:
     def test_midpoint(self):
         assert Segment(Point(0, 0), Point(2, 4)).midpoint() == Point(1, 2)
 
-    def test_distance_to_point_clamps_to_endpoints(self):
-        seg = Segment(Point(0, 0), Point(1, 0))
-        assert seg.distance_to_point(Point(0.5, 1)) == pytest.approx(1.0)
-        assert seg.distance_to_point(Point(3, 0)) == pytest.approx(2.0)
-
-    def test_contains_projection(self):
-        seg = Segment(Point(0, 0), Point(1, 0))
-        assert seg.contains_projection(Point(0.5, 5))
-        assert not seg.contains_projection(Point(2.0, 0))
-
 
 class TestMirror:
     def test_mirror_across_x_axis(self):

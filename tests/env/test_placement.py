@@ -1,10 +1,7 @@
 """Placement plan tests: the Appendix A.2 measurement grids."""
 
-import pytest
-
 from repro.env.placement import (
     ROTATION_STEPS_DEG,
-    RadioPose,
     lobby_plan,
     main_building_plans,
     testing_building_plans as _testing_building_plans,
@@ -63,10 +60,3 @@ class TestPlans:
             for pose in poses:
                 assert -0.01 <= pose.position.x <= room.length + 0.01, room.name
                 assert -0.01 <= pose.position.y <= room.width + 0.01, room.name
-
-class TestRadioPose:
-    def test_orientation_conversion(self):
-        import math
-
-        pose = RadioPose(position=None, orientation_deg=90.0)
-        assert pose.orientation_rad() == pytest.approx(math.pi / 2)

@@ -65,9 +65,6 @@ class TestRoomQueries:
         lab = make_lab()
         assert lab.obstacles() == lab.clutter
 
-    def test_iter_walls(self):
-        assert len(list(make_lobby().iter_walls())) == 4
-
     def test_walls_form_closed_rectangle(self):
         for room in (plan.room for plan in main_building_plans()):
             # Each wall's end is the next wall's start (closed loop).

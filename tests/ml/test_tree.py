@@ -125,8 +125,3 @@ class TestValidation:
             tree.fit(np.array([[np.nan]]), np.array(["a"]))
         with pytest.raises(ValueError):
             tree.fit(np.zeros((3, 2)), np.array(["a", "b"]))
-
-    def test_node_count_positive(self):
-        X, y = xor_data()
-        tree = DecisionTreeClassifier(max_depth=3).fit(X, y)
-        assert tree.node_count() >= 3

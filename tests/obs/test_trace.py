@@ -65,14 +65,6 @@ class TestEventRoundTrips:
         with pytest.raises(ValueError, match="unknown trace event type"):
             event_from_dict({"type": "mystery"})
 
-    def test_fallback_property(self):
-        assert make_flow_event().ra_then_ba_fallback
-        ba_first = make_flow_event(
-            repairs=[RepairStep("best", 5, 2, None, 0.0)], ba_invoked=True
-        )
-        assert not ba_first.ra_then_ba_fallback  # BA First, not a fallback
-        assert not make_flow_event(repairs=[], ba_invoked=False).ra_then_ba_fallback
-
 
 class TestRecorders:
     def test_null_recorder_is_disabled(self):

@@ -174,15 +174,6 @@ class TestChannelState:
         state = ChannelState([], noise_dbm=-74.0)
         assert state.effective_noise_dbm() == -74.0
 
-    def test_strongest_ray(self, geometry):
-        rays = rays_up_to(geometry, 1)
-        state = ChannelState(rays, -74.0)
-        strongest = state.strongest_ray()
-        assert strongest.order == 0  # LOS dominates in a clear room
-
-    def test_strongest_ray_empty(self):
-        assert ChannelState([], -74.0).strongest_ray() is None
-
 
 class TestCorridorWaveguiding:
     def test_corridor_has_rich_multipath(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs.events import SpanEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import InMemoryTraceRecorder
 from repro.runtime import (
@@ -61,7 +62,7 @@ class TestChildSeeds:
 
 def _square_task(item, metrics, recorder):
     metrics.counter("task.calls").inc()
-    recorder.record({"item": item, "square": item * item})
+    recorder.record(SpanEvent("task.square", seconds=0.0, count=item))
     return item * item
 
 
@@ -98,7 +99,7 @@ class TestParallelMap:
         items = list(range(8))
         recorder = InMemoryTraceRecorder()
         parallel_map(_square_task, items, workers=3, recorder=recorder)
-        assert [event["item"] for event in recorder.events] == items
+        assert [event.count for event in recorder.events] == items
 
     def test_null_sinks_skip_capture(self):
         """Default NULL sinks must not blow up in workers."""

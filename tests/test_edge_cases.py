@@ -102,9 +102,3 @@ class TestDatasetEdgeCases:
 
     def test_position_count_empty(self):
         assert Dataset().position_count() == 0
-
-
-class TestRadianDegreeConsistency:
-    def test_radio_pose_round_trip(self):
-        pose = RadioPose(Point(0, 0), 123.4)
-        assert math.degrees(pose.orientation_rad()) == pytest.approx(123.4)

@@ -1,7 +1,5 @@
 """Measurement record tests."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -67,10 +65,6 @@ class TestStateMeasurement:
             StateMeasurement(
                 "room", 0, 0, 0, 0, 0, 0, np.zeros(256), np.zeros(4), np.zeros(9)
             )
-
-    def test_tof_infinite_flag(self):
-        assert self._measurement(math.inf).tof_is_infinite
-        assert not self._measurement(25.0).tof_is_infinite
 
     def test_best_mcs_and_throughput(self):
         m = self._measurement()
